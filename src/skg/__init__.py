@@ -9,7 +9,6 @@ from .avm import (
     ListVal,
     Overlay,
     Var,
-    avm,
     equal_modulo_renaming,
     get,
     normalize,

@@ -93,11 +93,6 @@ class Overlay:
         return f"Overlay({self.rest!r} + {self.over!r})"
 
 
-def avm(*pairs) -> Avm:
-    """Shorthand constructor: avm(("cat", Atom("np")), ...)."""
-    return Avm(tuple(pairs))
-
-
 # ---------------------------------------------------------------------------
 # Environments: trailed, destructive variable bindings for search.
 # ---------------------------------------------------------------------------

@@ -21,19 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .avm import ABSENT, Env, Value, get, normalize, substructures
+from .avm import ABSENT, Value, get, substructures
 from .grammar import Grammar
-from .generator import GenerationError, _goal_cat
-from .search import (
-    BudgetExhausted,
-    ensure_recursion_room,
-    GenConfig,
-    Leaf,
-    Node,
-    StepCounter,
-    signature,
-    yield_tokens,
-)
+from .search import (BudgetExhausted, GenConfig, Search, distinct_outputs,
+                     goal_category)
 
 UNIFY_LINK = "unify"
 SUBSTRUCTURE_LINK = "substructure"
@@ -69,98 +60,34 @@ def semantic_link(mode: str, goal_sem: Value, entry_sem: Value) -> bool:
     raise ValueError(f"unknown link mode {mode!r}")
 
 
-class _BaselineRun:
-    def __init__(self, grammar: Grammar, mode: str, cfg: GenConfig):
-        if mode not in (UNIFY_LINK, SUBSTRUCTURE_LINK):
-            raise ValueError(f"unknown link mode {mode!r}")
-        self.g = grammar
-        self.mode = mode
-        self.cfg = cfg
-        self.env = Env()
-        self.steps = StepCounter(cfg.step_budget)
-        self.env.on_step = self.steps.tick
-        self.log = []
-
-    def trace(self, event: str):
-        if self.cfg.trace:
-            self.log.append(event)
-
-    def generate(self, goal: Value):
-        env = self.env
-        goal_cat = _goal_cat(goal, env)
-        sem_raw = get(goal, ("sem",))
-        for entry in self.g.lexicon:
-            if not self.g.link.reachable(goal_cat, entry.cat):
-                continue
-            self.steps.tick()
-            mark = env.mark()
-            pivot = env.instantiate(entry.description, {})
-            if self._link_pivot(pivot, sem_raw):
-                self.trace(f"lex {entry.surface!r}")
-                yield from self._complete(pivot, Leaf(entry), goal, goal_cat)
-            env.undo(mark)
-
-    def _link_pivot(self, pivot, sem_raw) -> bool:
-        """Check the semantic link and keep the resulting bindings."""
-        env = self.env
-        if sem_raw is ABSENT:
-            return True
-        pivot_sem = get(pivot, ("sem",))
-        if pivot_sem is ABSENT:
-            return True
-        if self.mode == UNIFY_LINK:
-            return env.unify(pivot_sem, sem_raw) is not None
-        for sub in substructures(env.resolve(sem_raw)):
-            mark = env.mark()
-            if env.unify(pivot_sem, env.instantiate(sub, {})) is not None:
-                return True
-            env.undo(mark)
-        return False
-
-    def _complete(self, pivot, deriv, goal, goal_cat):
-        env = self.env
-        self.steps.tick()
+def _link_pivot(env, mode, pivot, sem_raw) -> bool:
+    """Check the semantic link and keep the resulting bindings."""
+    if sem_raw is ABSENT:
+        return True
+    pivot_sem = get(pivot, ("sem",))
+    if pivot_sem is ABSENT:
+        return True
+    if mode == UNIFY_LINK:
+        return env.unify(pivot_sem, sem_raw) is not None
+    for sub in substructures(env.resolve(sem_raw)):
         mark = env.mark()
-        if env.unify(pivot, goal) is not None:
-            self.trace("local-success")
-            yield deriv
+        if env.unify(pivot_sem, env.instantiate(sub, {})) is not None:
+            return True
         env.undo(mark)
-        for rule in self.g.rules:
-            if not self.g.link.reachable(goal_cat, rule.mother_cat):
-                continue
-            self.steps.tick()
-            mark = env.mark()
-            mapping = {}
-            mother = env.instantiate(rule.mother, mapping)
-            daughters = [env.instantiate(d, mapping) for d in rule.daughters]
-            if env.unify(daughters[rule.head_index], pivot) is None:
-                env.undo(mark)
-                continue
-            mother_value = env.resolve(mother)
-            mother_value = env.unify(mother_value, mother_value)
-            if mother_value is None:
-                env.undo(mark)
-                continue
-            self.trace(f"hc_complete rule {rule.id}")
-            rest = [d for i, d in enumerate(daughters) if i != rule.head_index]
-            for rest_derivs in self._seq(rest):
-                children = []
-                it = iter(rest_derivs)
-                for i in range(len(rule.daughters)):
-                    children.append(deriv if i == rule.head_index else next(it))
-                yield from self._complete(mother_value,
-                                          Node(rule.id, tuple(children)),
-                                          goal, goal_cat)
-            env.undo(mark)
+    return False
 
-    def _seq(self, goals):
-        if not goals:
-            yield ()
-            return
-        first, rest = goals[0], goals[1:]
-        for deriv in self.generate(first):
-            for others in self._seq(rest):
-                yield (deriv,) + others
+
+def _linked_pivots(mode):
+    def pivots(search, goal, goal_cat, pos):
+        env = search.env
+        sem_raw = get(goal, ("sem",))
+
+        def attach(entry):
+            pivot = env.instantiate(entry.description, {})
+            return pivot if _link_pivot(env, mode, pivot, sem_raw) else None
+
+        return search.lexical(search.g.lexicon, goal, goal_cat, pos, attach)
+    return pivots
 
 
 def generate_shdg(grammar: Grammar, goal: Value, mode: str = UNIFY_LINK,
@@ -168,26 +95,21 @@ def generate_shdg(grammar: Grammar, goal: Value, mode: str = UNIFY_LINK,
     """Baseline enumeration with round-trip classification of outputs."""
     from .parser import check_output  # deferred: parser imports search too
 
+    if mode not in (UNIFY_LINK, SUBSTRUCTURE_LINK):
+        raise ValueError(f"unknown link mode {mode!r}")
     cfg = cfg or GenConfig()
-    ensure_recursion_room()
-    run = _BaselineRun(grammar, mode, cfg)
-    goal_inst = run.env.instantiate(goal, {})
-    goal_cat = _goal_cat(goal_inst, run.env)
+    search = Search(grammar, cfg, grammar.rules, grammar.link.pairs,
+                    lambda rule: rule.head_index, _linked_pivots(mode))
+    goal_inst = search.env.instantiate(goal, {})
+    goal_cat = goal_category(goal_inst, search.env)
     sem_raw = get(goal_inst, ("sem",))
-    input_sem = run.env.resolve(sem_raw) if sem_raw is not ABSENT else ABSENT
+    input_sem = search.env.resolve(sem_raw) if sem_raw is not ABSENT else ABSENT
     outputs = []
     partial = []
-    seen = set()
     exhausted = False
     try:
-        for deriv in run.generate(goal_inst):
-            key = (yield_tokens(deriv), signature(deriv))
-            if key in seen:
-                continue
-            seen.add(key)
-            root = normalize(run.env.resolve(goal_inst))
-            tokens = yield_tokens(deriv)
-            failures = check_output(grammar, tokens, goal_cat, input_sem)
+        for tokens, deriv, root in distinct_outputs(search, goal_inst):
+            failures = check_output(grammar, tokens, goal_cat, input_sem, cfg)
             if failures:
                 partial.append((tokens, deriv, root, tuple(failures)))
             else:
@@ -196,4 +118,5 @@ def generate_shdg(grammar: Grammar, goal: Value, mode: str = UNIFY_LINK,
                 break
     except BudgetExhausted:
         exhausted = True
-    return BaselineResult(outputs, partial, run.steps.used, exhausted, run.log)
+    return BaselineResult(outputs, partial, search.steps.used, exhausted,
+                          search.log)

@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 check/generation failure, 2 step budget
-exhausted, 3 malformed input (grammar, semantics, unknown token).
+exhausted, 3 malformed input (command line, grammar, semantics, goal,
+unknown token).
 """
 
 from __future__ import annotations
@@ -12,11 +13,11 @@ import sys
 
 from .avm import ABSENT, Atom, Avm, AvmSyntaxError, get, normalize, parse_value, render
 from .baseline import SUBSTRUCTURE_LINK, UNIFY_LINK, generate_shdg
-from .generator import GenerationError, generate, nonsk_expansions, nonsk_weight
+from .generator import generate, nonsk_expansions, nonsk_weight
 from .grammar import GrammarError, load_grammar
 from .kernel import decompose, is_sk, lexically_grounded
 from .parser import ParseError, parse, roundtrip
-from .search import GenConfig, default_budget, format_derivation
+from .search import GenConfig, GenerationError, default_budget, format_derivation
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -26,6 +27,11 @@ EXIT_INPUT = 3
 
 class InputError(ValueError):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise InputError(message)
 
 
 def _load_grammar(path: str):
@@ -54,6 +60,8 @@ def _load_goal(path: str, root: str, grammar):
 
 def _config(args) -> GenConfig:
     budget = args.budget if args.budget is not None else default_budget()
+    if budget < 1:
+        raise InputError(f"budget must be positive, got {budget}")
     return GenConfig(step_budget=budget, trace=getattr(args, "trace", False))
 
 
@@ -79,10 +87,6 @@ def _gen_report(args, result, label):
         derivs = sorted(format_derivation(d) for _, d, _ in result.outputs)
         payload["derivations"] = derivs
         lines += ["derivations:"] + [f"  {d}" for d in derivs]
-    if getattr(args, "root", False):
-        roots = sorted(render(r) for _, _, r in result.outputs)
-        payload["roots"] = roots
-        lines += ["roots:"] + [f"  {r}" for r in roots]
     partial = getattr(result, "partial_outputs", None)
     if partial is not None:
         flagged = sorted(
@@ -149,10 +153,7 @@ def cmd_generate(args):
 def cmd_parse(args):
     grammar = _load_grammar(args.grammar)
     cfg = _config(args)
-    try:
-        result = parse(grammar, args.sentence, cfg, root_cat=args.root)
-    except ParseError as exc:
-        raise InputError(str(exc)) from exc
+    result = parse(grammar, args.sentence, cfg, root_cat=args.root)
     sems = sorted(render(s) for s, _ in result.analyses if s is not ABSENT)
     payload = {
         "analyses": sems,
@@ -248,7 +249,10 @@ def cmd_analyze(args):
              f"nonsk_weight: {weight}",
              f"lexically_grounded: {payload['lexically_grounded']}"]
     if isinstance(sem, Avm):
-        dec = decompose(sem, grammar)
+        try:
+            dec = decompose(sem, grammar)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
         payload["kernel"] = render(dec.kernel)
         payload["nonsk_items"] = [
             {"path": ".".join(("sem",) + p), "item": render(v)}
@@ -258,10 +262,7 @@ def cmd_analyze(args):
         for entry in payload["nonsk_items"]:
             lines.append(f"  {entry['path']}: {entry['item']}")
     if not kernelic:
-        try:
-            expansions = nonsk_expansions(grammar, goal)
-        except GenerationError as exc:
-            raise InputError(str(exc)) from exc
+        expansions = nonsk_expansions(grammar, goal)
         payload["expansions"] = [
             {"rule": rule.id, "subgoals": [render(s) for s in subs]}
             for rule, subs in expansions
@@ -274,7 +275,7 @@ def cmd_analyze(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _ArgumentParser(
         prog="skg",
         description="Generation and parsing with feature-structure grammars.")
     sub = top.add_subparsers(dest="command", required=True)
@@ -327,10 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except InputError as exc:
+    except (InputError, GenerationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

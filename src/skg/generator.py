@@ -20,32 +20,22 @@ a modifier list.
 
 from __future__ import annotations
 
-from .avm import (ABSENT, Atom, Avm, Env, ListVal, Value, get, normalize,
-                  render, variables)
+from .avm import ABSENT, Avm, Env, ListVal, Value, get, normalize, variables
 from .grammar import NONSK, SK, Grammar
 from .kernel import is_sk, sk_of
 from .search import (
+    DONE,
     BudgetExhausted,
-    ensure_recursion_room,
     GenConfig,
+    GenerationError,
     GenResult,
-    Leaf,
     Node,
-    StepCounter,
-    signature,
-    yield_tokens,
+    Search,
+    distinct_outputs,
+    goal_category,
+    instantiate_rule,
+    resolve_node,
 )
-
-
-class GenerationError(ValueError):
-    """Invalid generation goal (for example, no category)."""
-
-
-def _goal_cat(goal: Value, env: Env) -> str:
-    cat = env.walk(get(env.resolve(goal), ("cat",)))
-    if not isinstance(cat, Atom):
-        raise GenerationError("generation goal has no category atom")
-    return cat.name
 
 
 def nonsk_weight(sem: Value, grammar: Grammar) -> int:
@@ -66,167 +56,72 @@ def nonsk_weight(sem: Value, grammar: Grammar) -> int:
     return total
 
 
-class _Run:
-    def __init__(self, grammar: Grammar, cfg: GenConfig):
-        self.g = grammar
-        self.cfg = cfg
-        self.env = Env()
-        self.steps = StepCounter(cfg.step_budget)
-        self.env.on_step = self.steps.tick
-        self.log = []
+def _sem(env: Env, value):
+    sem = get(value, ("sem",))
+    return env.resolve(sem) if sem is not ABSENT else ABSENT
 
-    def trace(self, event: str):
-        if self.cfg.trace:
-            self.log.append(event)
 
-    def show(self, value) -> str:
-        return render(normalize(self.env.resolve(value)))
+def _expansions(env, grammar, goal_cat, sem_raw, sem, tick):
+    """The NonSK expansion step for a goal with non-kernel elements.
 
-    # -- top level ----------------------------------------------------------
-
-    def generate(self, goal: Value):
-        """Yield derivations for a goal description; env holds bindings."""
-        env = self.env
-        goal_cat = _goal_cat(goal, env)
-        sem_raw = get(goal, ("sem",))
-        sem = env.resolve(sem_raw) if sem_raw is not ABSENT else ABSENT
-        if sem is ABSENT or is_sk(sem, self.g):
-            yield from self._generate_sk(goal, goal_cat, sem_raw, sem)
-        else:
-            yield from self._generate_nonsk(goal, goal_cat, sem_raw, sem)
-
-    def _generate_sk(self, goal, goal_cat, sem_raw, sem):
-        env = self.env
-        for entry in self.g.lexicon:
-            if not self.g.link.reachable(goal_cat, entry.cat):
-                continue
-            self.steps.tick()
-            entry_sem = entry.sem
-            if sem is not ABSENT and entry_sem is not ABSENT:
-                # The kernel filter is a prune; with unbound variables in
-                # the goal (a sister instantiated before its bindings
-                # arrive) it would reject sound pivots, so defer to
-                # unification below in that case.
-                if not any(True for _ in variables(sem)) \
-                        and not sk_of(sem, normalize(entry_sem), self.g):
-                    continue
-            mark = env.mark()
-            pivot = env.instantiate(entry.description, {})
-            if sem is not ABSENT and get(pivot, ("sem",)) is not ABSENT:
-                # Entry sems are variable-free literals, so we must keep
-                # the merged value: information from the goal (definiteness,
-                # closed modifier lists) has to travel up the completion.
-                pivot = env.unify(pivot, Avm((("sem", sem_raw),)))
-            if pivot is not None:
-                self.trace(f"lex {entry.surface!r} for goal {self.show(goal)}")
-                yield from self._complete(pivot, Leaf(entry), goal, goal_cat)
-            env.undo(mark)
-
-    def _generate_nonsk(self, goal, goal_cat, sem_raw, sem):
-        env = self.env
-        weight = nonsk_weight(sem, self.g)
-        for rule in self.g.rules:
-            if rule.sk_class != NONSK:
-                continue
-            if not self.g.link.reachable(goal_cat, rule.mother_cat):
-                continue
-            self.steps.tick()
-            mark = env.mark()
-            mapping = {}
-            mother = env.instantiate(rule.mother, mapping)
-            daughters = [env.instantiate(d, mapping) for d in rule.daughters]
-            mother_sem = get(mother, ("sem",))
-            if mother_sem is ABSENT or env.unify(mother_sem, sem_raw) is None:
-                env.undo(mark)
-                continue
-            mother_value = self._resolve_node(mother)
-            if mother_value is None:
-                env.undo(mark)
-                continue
-            head = daughters[rule.head_index]
-            head_sem_raw = get(head, ("sem",))
-            head_sem = env.resolve(head_sem_raw) if head_sem_raw is not ABSENT \
-                else ABSENT
-            if nonsk_weight(head_sem, self.g) != weight - 1:
-                # no progress toward the kernel; reject to stay terminating
-                env.undo(mark)
-                continue
-            self.trace(f"hc_complete(NonSK) rule {rule.id} "
-                       f"for goal {self.show(goal)}")
-            rest = [d for i, d in enumerate(daughters) if i != rule.head_index]
-            for head_deriv in self.generate(head):
-                for rest_derivs in self._generate_seq(rest):
-                    children = self._assemble(rule, head_deriv, rest_derivs)
-                    yield from self._complete(mother_value,
-                                              Node(rule.id, children),
-                                              goal, goal_cat)
-            env.undo(mark)
-
-    # -- bottom-up completion over SK rules ----------------------------------
-
-    def _complete(self, pivot, deriv, goal, goal_cat):
-        env = self.env
-        self.steps.tick()
+    Yields ``(rule, mother, daughters)`` for each NonSK rule whose mother
+    takes the goal's semantics and whose head daughter carries one
+    non-kernel element fewer (the progress check that keeps generation
+    terminating); the bindings last until the next expansion is asked for.
+    """
+    weight = nonsk_weight(sem, grammar)
+    for rule in grammar.rules:
+        if rule.sk_class != NONSK or not grammar.link.reachable(goal_cat,
+                                                                rule.mother_cat):
+            continue
+        tick()
         mark = env.mark()
-        if env.unify(pivot, goal) is not None:
-            self.trace(f"local-success at {self.show(goal)}")
-            yield deriv
+        mother, daughters = instantiate_rule(env, rule)
+        mother_sem = get(mother, ("sem",))
+        if mother_sem is not ABSENT and env.unify(mother_sem, sem_raw) is not None:
+            mother = resolve_node(env, mother)
+            if mother is not None and nonsk_weight(
+                    _sem(env, daughters[rule.head_index]), grammar) == weight - 1:
+                yield rule, mother, daughters
         env.undo(mark)
-        for rule in self.g.rules:
-            if rule.sk_class != SK:
-                continue
-            if not self.g.link.reachable(goal_cat, rule.mother_cat):
-                continue
-            self.steps.tick()
-            mark = env.mark()
-            mapping = {}
-            mother = env.instantiate(rule.mother, mapping)
-            daughters = [env.instantiate(d, mapping) for d in rule.daughters]
-            if env.unify(daughters[rule.head_index], pivot) is None:
-                env.undo(mark)
-                continue
-            mother_value = self._resolve_node(mother)
-            if mother_value is None:
-                env.undo(mark)
-                continue
-            self.trace(f"hc_complete(SK) rule {rule.id} over pivot "
-                       f"{self.show(pivot)}")
-            rest = [d for i, d in enumerate(daughters) if i != rule.head_index]
-            for rest_derivs in self._generate_seq(rest):
-                children = self._assemble(rule, deriv, rest_derivs)
-                yield from self._complete(mother_value, Node(rule.id, children),
-                                          goal, goal_cat)
-            env.undo(mark)
 
-    # -- helpers --------------------------------------------------------------
 
-    def _resolve_node(self, description):
-        """Force overlays in a freshly instantiated mother description.
+def _expansion_pivots(search, goal, goal_cat, sem_raw, sem, pos):
+    for rule, mother, daughters in _expansions(search.env, search.g, goal_cat,
+                                               sem_raw, sem, search.steps.tick):
+        search.note("hc_complete(NonSK) rule", rule.id, "for goal", goal)
+        head = rule.head_index
+        order = [head] + [i for i in range(len(daughters)) if i != head]
+        solved = search.daughters(daughters, order, pos, [None] * len(daughters))
+        while (found := (yield solved)) is not DONE:
+            yield mother, Node(rule.id, found[0]), found[1]
 
-        Resolving substitutes bindings and merges any overlay whose rest
-        variable got bound during head/goal unification; the self-unify
-        turns a latent overlay clash into an explicit failure.
-        """
-        env = self.env
-        resolved = env.resolve(description)
-        return env.unify(resolved, resolved)
 
-    def _generate_seq(self, goals):
-        if not goals:
-            yield ()
-            return
-        first, rest = goals[0], goals[1:]
-        for deriv in self.generate(first):
-            for others in self._generate_seq(rest):
-                yield (deriv,) + others
+def _kernel_pivots(search, goal, goal_cat, pos):
+    """NonSK expansions for a non-kernel goal, else kernel-checked entries."""
+    env, grammar = search.env, search.g
+    sem_raw = get(goal, ("sem",))
+    sem = _sem(env, goal)
+    if sem is not ABSENT and not is_sk(sem, grammar):
+        return _expansion_pivots(search, goal, goal_cat, sem_raw, sem, pos)
+    # The kernel filter is a prune; with unbound variables in the goal (a
+    # sister instantiated before its bindings arrive) it would reject
+    # sound pivots, so it defers to unification in that case.
+    ground = sem is not ABSENT and next(variables(sem), None) is None
 
-    @staticmethod
-    def _assemble(rule, head_deriv, rest_derivs):
-        children = []
-        it = iter(rest_derivs)
-        for i in range(len(rule.daughters)):
-            children.append(head_deriv if i == rule.head_index else next(it))
-        return tuple(children)
+    def attach(entry):
+        if ground and entry.sem is not ABSENT \
+                and not sk_of(sem, normalize(entry.sem), grammar):
+            return None
+        pivot = env.instantiate(entry.description, {})
+        if sem is not ABSENT and get(pivot, ("sem",)) is not ABSENT:
+            # Entry sems are variable-free literals, so the merged value is
+            # kept: information from the goal (definiteness, closed
+            # modifier lists) has to travel up the completion.
+            pivot = env.unify(pivot, Avm((("sem", sem_raw),)))
+        return pivot
+
+    return search.lexical(grammar.lexicon, goal, goal_cat, pos, attach)
 
 
 def generate(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> GenResult:
@@ -236,54 +131,29 @@ def generate(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> GenResult:
     triples; duplicates (same surface and same derivation) are dropped.
     """
     cfg = cfg or GenConfig()
-    ensure_recursion_room()
-    run = _Run(grammar, cfg)
-    goal_inst = run.env.instantiate(goal, {})
+    search = Search(grammar, cfg, [r for r in grammar.rules if r.sk_class == SK],
+                    grammar.link.pairs, lambda rule: rule.head_index,
+                    _kernel_pivots)
     outputs = []
-    seen = set()
     exhausted = False
     try:
-        for deriv in run.generate(goal_inst):
-            key = (yield_tokens(deriv), signature(deriv))
-            if key in seen:
-                continue
-            seen.add(key)
-            root = normalize(run.env.resolve(goal_inst))
-            outputs.append((yield_tokens(deriv), deriv, root))
+        for output in distinct_outputs(search, search.env.instantiate(goal, {})):
+            outputs.append(output)
             if cfg.max_results is not None and len(outputs) >= cfg.max_results:
                 break
     except BudgetExhausted:
         exhausted = True
-    return GenResult(outputs, run.steps.used, exhausted, run.log)
+    return GenResult(outputs, search.steps.used, exhausted, search.log)
 
 
 def nonsk_expansions(grammar: Grammar, goal: Value):
     """Top-down expansions of a non-kernel goal: (rule, subgoals) pairs."""
     env = Env()
     goal = env.instantiate(goal, {})
-    goal_cat = _goal_cat(goal, env)
-    sem_raw = get(goal, ("sem",))
-    sem = env.resolve(sem_raw) if sem_raw is not ABSENT else ABSENT
+    goal_cat = goal_category(goal, env)
+    sem = _sem(env, goal)
     if sem is ABSENT or is_sk(sem, grammar):
         raise GenerationError("goal has kernel-only semantics")
-    weight = nonsk_weight(sem, grammar)
-    out = []
-    for rule in grammar.rules:
-        if rule.sk_class != NONSK:
-            continue
-        if not grammar.link.reachable(goal_cat, rule.mother_cat):
-            continue
-        mark = env.mark()
-        mapping = {}
-        mother = env.instantiate(rule.mother, mapping)
-        daughters = [env.instantiate(d, mapping) for d in rule.daughters]
-        mother_sem = get(mother, ("sem",))
-        if mother_sem is not ABSENT and env.unify(mother_sem, sem_raw) is not None:
-            head_sem_raw = get(daughters[rule.head_index], ("sem",))
-            head_sem = env.resolve(head_sem_raw) if head_sem_raw is not ABSENT \
-                else ABSENT
-            if nonsk_weight(head_sem, grammar) == weight - 1:
-                subgoals = [normalize(env.resolve(d)) for d in daughters]
-                out.append((rule, subgoals))
-        env.undo(mark)
-    return out
+    return [(rule, [normalize(env.resolve(d)) for d in daughters])
+            for rule, _, daughters in _expansions(
+                env, grammar, goal_cat, get(goal, ("sem",)), sem, lambda: None)]

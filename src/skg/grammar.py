@@ -124,32 +124,30 @@ class Grammar:
 # ---------------------------------------------------------------------------
 
 
-def _all_categories(rules, lexicon):
-    cats = set()
+def categories(rules, lexicon) -> set:
+    """Every category a rule or lexical entry mentions."""
+    cats = {e.cat for e in lexicon}
     for r in rules:
         cats.add(r.mother_cat)
-        for i in range(len(r.daughters)):
-            cats.add(r.daughter_cat(i))
-    for e in lexicon:
-        cats.add(e.cat)
+        cats.update(r.daughter_cat(i) for i in range(len(r.daughters)))
     return cats
+
+
+def closure(pairs) -> frozenset:
+    """Transitive closure of a relation given as (a, b) pairs."""
+    pairs = set(pairs)
+    while True:
+        new = {(a, d) for a, b in pairs for c, d in pairs if b == c} - pairs
+        if not new:
+            return frozenset(pairs)
+        pairs |= new
 
 
 def compute_link(rules, lexicon) -> CategoryLinkRelation:
     """Reflexive-transitive closure of the mother -> head-daughter relation."""
-    cats = _all_categories(rules, lexicon)
-    pairs = {(c, c) for c in cats}
-    for r in rules:
-        pairs.add((r.mother_cat, r.daughter_cat(r.head_index)))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(pairs):
-            for (c, d) in list(pairs):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
-                    changed = True
-    return CategoryLinkRelation(frozenset(pairs))
+    return CategoryLinkRelation(closure(
+        {(c, c) for c in categories(rules, lexicon)}
+        | {(r.mother_cat, r.daughter_cat(r.head_index)) for r in rules}))
 
 
 def _list_pattern(value, path):

@@ -12,29 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .avm import (
-    ABSENT,
-    Atom,
-    Avm,
-    Env,
-    Value,
-    equal_modulo_renaming,
-    get,
-    normalize,
-    subsumes,
-)
-from .grammar import Grammar
+from .avm import ABSENT, Atom, Avm, Value, get, normalize, subsumes
+from .grammar import Grammar, categories, closure
 from .kernel import normalize_nonsk
-from .search import (
-    BudgetExhausted,
-    GenConfig,
-    ensure_recursion_room,
-    Leaf,
-    Node,
-    StepCounter,
-    signature,
-    yield_tokens,
-)
+from .search import BudgetExhausted, GenConfig, Search, drive, signature
 
 
 class ParseError(ValueError):
@@ -47,32 +28,11 @@ class ParseResult:
     steps_used: int
     exhausted_budget: bool
 
-    @property
-    def semantics(self):
-        return [sem for sem, _ in self.analyses]
-
 
 def left_corner_table(grammar: Grammar) -> frozenset:
     """Closure of (mother cat, leftmost daughter cat), plus reflexivity."""
-    cats = set()
-    for r in grammar.rules:
-        cats.add(r.mother_cat)
-        for i in range(len(r.daughters)):
-            cats.add(r.daughter_cat(i))
-    for e in grammar.lexicon:
-        cats.add(e.cat)
-    pairs = {(c, c) for c in cats}
-    for r in grammar.rules:
-        pairs.add((r.mother_cat, r.daughter_cat(0)))
-    changed = True
-    while changed:
-        changed = False
-        for (a, b) in list(pairs):
-            for (c, d) in list(pairs):
-                if b == c and (a, d) not in pairs:
-                    pairs.add((a, d))
-                    changed = True
-    return frozenset(pairs)
+    return closure({(c, c) for c in categories(grammar.rules, grammar.lexicon)}
+                   | {(r.mother_cat, r.daughter_cat(0)) for r in grammar.rules})
 
 
 def tokenize_sentence(sentence: str):
@@ -80,70 +40,14 @@ def tokenize_sentence(sentence: str):
     return tuple(t.lower() for t in sentence.split())
 
 
-class _ParseRun:
-    def __init__(self, grammar: Grammar, tokens, cfg: GenConfig):
-        self.g = grammar
-        self.tokens = tokens
-        self.cfg = cfg
-        self.env = Env()
-        self.steps = StepCounter(cfg.step_budget)
-        self.env.on_step = self.steps.tick
-        self.lc = left_corner_table(grammar)
-
-    def parse_goal(self, goal: Value, pos: int):
-        """Yield (end, derivation, merged value) for matching constituents."""
-        if pos >= len(self.tokens):
-            return
-        env = self.env
-        goal_cat = get(env.resolve(goal), ("cat",))
-        goal_cat = goal_cat.name if isinstance(goal_cat, Atom) else None
-        token = self.tokens[pos]
-        for entry in self.g.entries_for(token):
-            if goal_cat is not None and (goal_cat, entry.cat) not in self.lc:
-                continue
-            self.steps.tick()
-            mark = env.mark()
-            pivot = env.instantiate(entry.description, {})
-            yield from self._project(pivot, Leaf(entry), pos + 1, goal, goal_cat)
-            env.undo(mark)
-
-    def _project(self, value, deriv, end, goal, goal_cat):
-        env = self.env
-        self.steps.tick()
-        mark = env.mark()
-        merged = env.unify(value, goal)
-        if merged is not None:
-            yield (end, deriv, merged)
-        env.undo(mark)
-        for rule in self.g.rules:
-            if goal_cat is not None and (goal_cat, rule.mother_cat) not in self.lc:
-                continue
-            self.steps.tick()
-            mark = env.mark()
-            mapping = {}
-            mother = env.instantiate(rule.mother, mapping)
-            daughters = [env.instantiate(d, mapping) for d in rule.daughters]
-            if env.unify(daughters[0], value) is None:
-                env.undo(mark)
-                continue
-            for state in self._parse_rest(daughters, 1, end, [deriv]):
-                rest_end, children = state
-                mother_value = env.resolve(mother)
-                mother_value = env.unify(mother_value, mother_value)
-                if mother_value is None:
-                    continue
-                yield from self._project(mother_value,
-                                         Node(rule.id, tuple(children)),
-                                         rest_end, goal, goal_cat)
-            env.undo(mark)
-
-    def _parse_rest(self, daughters, i, pos, children):
-        if i == len(daughters):
-            yield (pos, list(children))
-            return
-        for end, deriv, _ in self.parse_goal(daughters[i], pos):
-            yield from self._parse_rest(daughters, i + 1, end,
-                                        children + [deriv])
+def _token_pivots(tokens):
+    """Pivots for a goal at a position: the entries for the token there."""
+    def pivots(search, goal, goal_cat, pos):
+        entries = search.g.entries_for(tokens[pos]) if pos < len(tokens) else ()
+        return search.lexical(
+            entries, goal, goal_cat, pos + 1,
+            lambda entry: search.env.instantiate(entry.description, {}))
+    return pivots
 
 
 def parse(grammar: Grammar, tokens, cfg: GenConfig = None,
@@ -159,18 +63,18 @@ def parse(grammar: Grammar, tokens, cfg: GenConfig = None,
         if not grammar.entries_for(t):
             raise ParseError(f"unknown token {t!r}")
     root_cat = root_cat or grammar.start
-    ensure_recursion_room()
-    run = _ParseRun(grammar, tokens, cfg)
-    goal = Avm((("cat", Atom(root_cat)),))
-    goal_inst = run.env.instantiate(goal, {})
+    search = Search(grammar, cfg, grammar.rules, left_corner_table(grammar),
+                    lambda rule: 0, _token_pivots(tokens))
+    env = search.env
+    goal = env.instantiate(Avm((("cat", Atom(root_cat)),)), {})
     analyses = []
     seen = set()
     exhausted = False
     try:
-        for end, deriv, merged in run.parse_goal(goal_inst, 0):
+        for deriv, end, merged in drive(search.solve(goal, 0)):
             if end != len(tokens):
                 continue
-            sem = get(run.env.resolve(merged), ("sem",))
+            sem = get(env.resolve(merged), ("sem",))
             sem = normalize(sem) if sem is not ABSENT else ABSENT
             key = (sem, signature(deriv))
             if key in seen:
@@ -179,7 +83,7 @@ def parse(grammar: Grammar, tokens, cfg: GenConfig = None,
             analyses.append((sem, deriv))
     except BudgetExhausted:
         exhausted = True
-    return ParseResult(analyses, run.steps.used, exhausted)
+    return ParseResult(analyses, search.steps.used, exhausted)
 
 
 # ---------------------------------------------------------------------------

@@ -316,3 +316,8 @@ def test_random_ground_triples_associative():
         if left is not None and right is not None:
             assert left == right
             assert normalize(got_left) == normalize(got_right) == normalize(left)
+
+
+def test_package_attribute_avm_is_the_module():
+    import skg
+    assert skg.avm.Env is Env

@@ -7,6 +7,7 @@ import pytest
 
 from skg.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
 from skg.search import default_budget
+from test_search import CYCLIC
 
 HERE = os.path.dirname(__file__)
 GRAMMAR = os.path.join(HERE, os.pardir, "grammars", "paper.skg")
@@ -86,6 +87,7 @@ def test_bare_sem_wrapped_with_root(capsys, tmp_path):
         "--root", "np")
     assert code == EXIT_OK
     assert payload["outputs"] == ["the complex sentence"]
+    assert "roots" not in payload
 
 
 def test_parse_ok_and_unknown_token(capsys):
@@ -182,3 +184,42 @@ def test_json_output_is_deterministic(capsys):
     _, second, _ = run(capsys, "generate", "--grammar", GRAMMAR,
                        "--sem", SENTENCE_SEM, "--format", "json")
     assert first == second
+
+
+@pytest.mark.parametrize("argv, goal", [
+    (["generate", "--grammar", GRAMMAR, "--sem", NP_SEM, "--budget", "0"], None),
+    (["generate", "--grammar", GRAMMAR, "--sem", NP_SEM, "--budget", "-5"], None),
+    (["generate", "--grammar", GRAMMAR, "--sem", NP_SEM, "--budget", "ten"], None),
+    (["parse", "the sentence", "--grammar", GRAMMAR, "--budget", "0"], None),
+    (["generate", "--grammar", GRAMMAR, "--sem", "GOAL"],
+     "[cat: [a: b], sem: [rel: sentence]]"),
+    (["roundtrip", "--grammar", GRAMMAR, "--sem", "GOAL"],
+     "[cat: C, sem: [rel: sentence]]"),
+    (["analyze", "--grammar", GRAMMAR, "--sem", "GOAL"],
+     "[cat: np, sem: [rel: sentence, def: +, mod: complex]]"),
+    (["generate", "--grammar", GRAMMAR], None),
+    (["frobnicate", "--grammar", GRAMMAR], None),
+    ([], None),
+])
+def test_malformed_input_exits_3_with_one_error_line(capsys, tmp_path, argv, goal):
+    if goal is not None:
+        (tmp_path / "goal.sem").write_text(goal)
+        argv = [str(tmp_path / "goal.sem") if a == "GOAL" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_INPUT
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert out == ""
+
+
+def test_cyclic_unary_rule_exits_on_budget(capsys, tmp_path):
+    grammar = tmp_path / "cyclic.skg"
+    grammar.write_text(CYCLIC)
+    sem = tmp_path / "go.sem"
+    sem.write_text("[cat: s, sem: [pred: go]]")
+    code, payload, _ = run_json(capsys, "parse", "go", "--grammar", str(grammar),
+                                "--budget", "5000")
+    assert code == EXIT_BUDGET and payload["budget_exhausted"]
+    code, payload, _ = run_json(capsys, "generate", "--algo", "shdg",
+                                "--grammar", str(grammar), "--sem", str(sem),
+                                "--budget", "200")
+    assert code == EXIT_BUDGET and payload["budget_exhausted"]
