@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from .avm import ABSENT, Avm, Env, ListVal, Value, get, normalize, variables
 from .grammar import NONSK, SK, Grammar
-from .kernel import is_sk, sk_of
+from .kernel import decompose, is_sk, sk_of
 from .search import (
     DONE,
     BudgetExhausted,
@@ -108,10 +108,11 @@ def _kernel_pivots(search, goal, goal_cat, pos):
     # sister instantiated before its bindings arrive) it would reject
     # sound pivots, so it defers to unification in that case.
     ground = sem is not ABSENT and next(variables(sem), None) is None
+    kernel = decompose(sem, grammar) if ground else None
 
     def attach(entry):
-        if ground and entry.sem is not ABSENT \
-                and not sk_of(sem, normalize(entry.sem), grammar):
+        if kernel is not None and entry.normal_sem is not ABSENT \
+                and not sk_of(kernel, entry.normal_sem, grammar):
             return None
         pivot = env.instantiate(entry.description, {})
         if sem is not ABSENT and get(pivot, ("sem",)) is not ABSENT:
@@ -133,7 +134,7 @@ def generate(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> GenResult:
     cfg = cfg or GenConfig()
     search = Search(grammar, cfg, [r for r in grammar.rules if r.sk_class == SK],
                     grammar.link.pairs, lambda rule: rule.head_index,
-                    _kernel_pivots)
+                    _kernel_pivots, table={})
     outputs = []
     exhausted = False
     try:

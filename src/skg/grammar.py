@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .avm import (
@@ -32,6 +33,7 @@ from .avm import (
     Var,
     _Parser,
     get,
+    normalize,
     render,
     tokenize,
 )
@@ -60,6 +62,12 @@ class LexEntry:
     @property
     def sem(self):
         return get(self.description, ("sem",))
+
+    @cached_property
+    def normal_sem(self):
+        """The normalised semantics (or ABSENT), computed once per entry."""
+        sem = self.sem
+        return normalize(sem) if sem is not ABSENT else ABSENT
 
 
 @dataclass(frozen=True)
@@ -108,6 +116,12 @@ class Grammar:
 
     def __post_init__(self):
         self.link = compute_link(self.rules, self.lexicon)
+
+    @cached_property
+    def left_corner(self) -> frozenset:
+        """Closure of (mother cat, leftmost daughter cat), plus reflexivity."""
+        return closure({(c, c) for c in categories(self.rules, self.lexicon)}
+                       | {(r.mother_cat, r.daughter_cat(0)) for r in self.rules})
 
     def rule_by_id(self, rule_id: str) -> Rule:
         for r in self.rules:

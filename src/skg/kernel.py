@@ -72,10 +72,15 @@ def recompose(d: Decomposition) -> Value:
     return normalize(sem)
 
 
-def sk_of(sem: Value, candidate: Value, grammar: Grammar) -> bool:
-    """True iff ``candidate`` carries only kernel information of ``sem``."""
-    kernel = decompose(sem, grammar).kernel
-    return subsumes(candidate, kernel)
+def sk_of(sem, candidate: Value, grammar: Grammar) -> bool:
+    """True iff ``candidate`` carries only kernel information of ``sem``.
+
+    ``sem`` may also be given as its :class:`Decomposition`, so that
+    checking many candidates against one value decomposes it once.
+    """
+    if not isinstance(sem, Decomposition):
+        sem = decompose(sem, grammar)
+    return subsumes(candidate, sem.kernel)
 
 
 def normalize_nonsk(value: Value, grammar: Grammar) -> Value:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .avm import ABSENT, Atom, Avm, Value, get, normalize, subsumes
-from .grammar import Grammar, categories, closure
+from .grammar import Grammar
 from .kernel import normalize_nonsk
 from .search import BudgetExhausted, GenConfig, Search, drive, signature
 
@@ -30,9 +30,8 @@ class ParseResult:
 
 
 def left_corner_table(grammar: Grammar) -> frozenset:
-    """Closure of (mother cat, leftmost daughter cat), plus reflexivity."""
-    return closure({(c, c) for c in categories(grammar.rules, grammar.lexicon)}
-                   | {(r.mother_cat, r.daughter_cat(0)) for r in grammar.rules})
+    """The grammar's left-corner table (:attr:`Grammar.left_corner`), built once."""
+    return grammar.left_corner
 
 
 def tokenize_sentence(sentence: str):

@@ -15,6 +15,12 @@ yields a sub-search to pull that sub-search's next solution, and is sent
 :data:`DONE` once it is exhausted; it yields any other value to hand a
 solution to whoever pulled it.  No Python frame or C stack grows with the
 depth of the search, so a budget-bounded regress ends with its budget.
+
+Generation also memoises its ground daughter goals in a per-call table
+(:meth:`Search.tabled`), in the manner of van Noord's memo tables and
+Kay (1996, *Chart generation*).  Kernel gating gives every generator
+subgoal a finite solution set; the baseline has none, and the parser's
+goals are rarely ground, so neither uses the table.
 """
 
 from __future__ import annotations
@@ -24,11 +30,13 @@ from dataclasses import dataclass, field
 from types import GeneratorType
 from typing import Optional
 
-from .avm import Atom, Env, Value, get, normalize, render
+from .avm import (ABSENT, Atom, Avm, Env, ListVal, Overlay, Value, get,
+                  normalize, render, variables)
 from .grammar import LexEntry
 
 DEFAULT_BUDGET = 10 ** 6
 DONE = object()  # sent to a search when the sub-search it pulled is exhausted
+PLAIN = object()  # a subgoal table entry that asks for plain search
 
 
 def default_budget() -> int:
@@ -129,7 +137,11 @@ class GenResult:
 
 
 def goal_category(goal: Value, env: Env) -> str:
-    cat = env.walk(get(env.resolve(goal), ("cat",)))
+    """The name of the goal's ``cat`` atom, read without resolving the goal."""
+    node = env.walk(goal)
+    while isinstance(node, Overlay) and node.over.get("cat") is ABSENT:
+        node = env.walk(node.rest)
+    cat = env.walk(get(node, ("cat",)))
     if not isinstance(cat, Atom):
         raise GenerationError("generation goal has no category atom")
     return cat.name
@@ -151,6 +163,21 @@ def resolve_node(env: Env, description):
     """
     resolved = env.resolve(description)
     return env.unify(resolved, resolved)
+
+
+def adds_nothing(env: Env, value: Value, ground: Value) -> bool:
+    """True iff ``value``, a unifier of variable-free ``ground``, adds no feature."""
+    value = env.walk(value)
+    if isinstance(ground, Avm):
+        return (isinstance(value, Avm) and len(value.pairs) == len(ground.pairs)
+                and all(adds_nothing(env, value.get(f), v) for f, v in ground.pairs))
+    if isinstance(ground, ListVal):
+        value = env.resolve(value)
+        return (isinstance(value, ListVal) and value.tail is None
+                and len(value.items) == len(ground.items)
+                and all(adds_nothing(env, v, g)
+                        for v, g in zip(value.items, ground.items)))
+    return True
 
 
 def drive(search):
@@ -190,9 +217,14 @@ class Search:
     ``(pivot, derivation, end)`` triples.  ``pos`` is the parser's input
     position and ``None`` in generation.  Solutions are
     ``(derivation, end, merged goal)`` triples.
+
+    With a ``table`` (a dict), the daughters of a rule whose goals have
+    no variables left are solved once per search and their solutions
+    replayed after that (see :meth:`tabled`).
     """
 
-    def __init__(self, grammar, cfg: GenConfig, rules, link, corner, pivots):
+    def __init__(self, grammar, cfg: GenConfig, rules, link, corner, pivots,
+                 table=None):
         self.g = grammar
         self.link = link
         self.pivots = pivots
@@ -206,6 +238,7 @@ class Search:
         self.env.on_step = self.steps.tick
         self.tracing = cfg.trace
         self.log = []
+        self.table = table
 
     def note(self, *parts):
         """Add a trace line; values are rendered only when tracing is on."""
@@ -263,7 +296,8 @@ class Search:
         if not order:
             yield tuple(children), pos
             return
-        pending = [self.solve(daughters[order[0]], pos)]
+        subgoal = self.solve if self.table is None else self.tabled
+        pending = [subgoal(daughters[order[0]], pos)]
         while pending:
             found = yield pending[-1]
             if found is DONE:
@@ -274,7 +308,48 @@ class Search:
             if len(pending) == len(order):
                 yield tuple(children), end
             else:
-                pending.append(self.solve(daughters[order[len(pending)]], end))
+                pending.append(subgoal(daughters[order[len(pending)]], end))
+
+    def tabled(self, goal: Value, pos=None):
+        """A search for a daughter goal, answered from the table when ground.
+
+        The table is keyed by the resolved goal and the position.  The
+        first search for a key runs to exhaustion on the resolved value
+        and stores its ``(derivation, end)`` pairs; this and every later
+        search for the key replay them, with the resolved goal as the
+        merged value.  A goal with variables, a key that comes back while
+        it is being filled, and a key with a solution that adds
+        information to the goal (which the replay would drop) get plain
+        search.
+        """
+        resolved = self.env.resolve(goal)
+        if next(variables(resolved), None) is not None:
+            return self.solve(goal, pos)
+        key = (resolved, pos)
+        answers = self.table.get(key)
+        if answers is None:
+            return self._fill(key, goal, resolved, pos)
+        if answers is PLAIN:
+            return self.solve(goal, pos)
+        self.note("table", resolved)
+        return ((deriv, end, resolved) for deriv, end in answers)
+
+    def _fill(self, key, goal, resolved, pos):
+        self.table[key] = PLAIN  # until it is filled
+        answers = []
+        exact = True
+        sub = self.solve(resolved, pos)
+        while (found := (yield sub)) is not DONE:
+            answers.append(found[:2])
+            exact = exact and adds_nothing(self.env, found[2], resolved)
+        if not exact:
+            sub = self.solve(goal, pos)
+            while (found := (yield sub)) is not DONE:
+                yield found
+            return
+        self.table[key] = answers
+        for deriv, end in answers:
+            yield deriv, end, resolved
 
     def lexical(self, entries, goal, goal_cat, end, attach):
         """Pivots from the lexical entries whose category the goal links to.
