@@ -23,14 +23,11 @@ from .avm import (
 from .grammar import (
     NONSK,
     SK,
-    CategoryLinkRelation,
     Grammar,
     GrammarError,
     LexEntry,
     Rule,
     classify_rule,
-    compute_link,
-    lexical_candidates,
     load_grammar,
     serialize_grammar,
 )
@@ -40,7 +37,6 @@ from .kernel import (
     is_sk,
     lexically_grounded,
     normalize_nonsk,
-    recompose,
     sk_of,
 )
 from .search import (
@@ -61,7 +57,6 @@ from .baseline import (
     UNIFY_LINK,
     BaselineResult,
     generate_shdg,
-    semantic_link,
 )
 from .parser import (
     ParseError,

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Optional, Union
 
 Value = Union["Atom", "Var", "Avm", "ListVal", "Overlay"]
@@ -283,18 +284,7 @@ class Env:
             return o
         if not isinstance(rest, Avm):
             return None
-        pairs = list(rest.pairs)
-        index = {f: i for i, (f, _) in enumerate(pairs)}
-        for f, v in o.over.pairs:
-            if f in index:
-                u = self.unify(pairs[index[f]][1], v)
-                if u is None:
-                    return None
-                pairs[index[f]] = (f, u)
-            else:
-                index[f] = len(pairs)
-                pairs.append((f, v))
-        return Avm(tuple(pairs))
+        return self._merge(rest, o.over)
 
     def _merge_overlay(self, a: Value, b: Value) -> Optional[Value]:
         if isinstance(a, Overlay) and isinstance(b, Overlay):
@@ -393,31 +383,21 @@ def normalize(value: Value) -> Value:
     """Canonical form: features sorted, variables renamed by visit order."""
     seen: dict = {}
 
-    def sort(v):
-        if isinstance(v, Avm):
-            return Avm(tuple(sorted(((f, sort(x)) for f, x in v.pairs))))
-        if isinstance(v, ListVal):
-            tail = v.tail
-            return ListVal(tuple(sort(x) for x in v.items), tail)
-        if isinstance(v, Overlay):
-            return Overlay(v.rest, sort(v.over))
-        return v
-
-    def rename(v):
+    def go(v):
         if isinstance(v, Var):
             if v.tag not in seen:
                 seen[v.tag] = Var(f"#{len(seen)}")
             return seen[v.tag]
         if isinstance(v, Avm):
-            return Avm(tuple((f, rename(x)) for f, x in v.pairs))
+            return Avm(tuple((f, go(x)) for f, x in sorted(v.pairs, key=itemgetter(0))))
         if isinstance(v, ListVal):
-            tail = rename(v.tail) if v.tail is not None else None
-            return ListVal(tuple(rename(x) for x in v.items), tail)
+            tail = go(v.tail) if v.tail is not None else None
+            return ListVal(tuple(go(x) for x in v.items), tail)
         if isinstance(v, Overlay):
-            return Overlay(rename(v.rest), rename(v.over))
+            return Overlay(go(v.rest), go(v.over))
         return v
 
-    return rename(sort(value))
+    return go(value)
 
 
 def unify(a: Value, b: Value) -> Optional[Value]:

@@ -23,41 +23,22 @@ from dataclasses import dataclass, field
 
 from .avm import ABSENT, Value, get, substructures
 from .grammar import Grammar
-from .search import (BudgetExhausted, GenConfig, Search, distinct_outputs,
-                     goal_category)
+from .search import GenConfig, GenResult, Search, distinct_outputs, goal_category
 
 UNIFY_LINK = "unify"
 SUBSTRUCTURE_LINK = "substructure"
 
 
 @dataclass
-class BaselineResult:
-    outputs: list            # coherent and complete (surface, deriv, root)
-    partial_outputs: list    # flagged (surface, deriv, root, failed checks)
-    steps_used: int
-    exhausted_budget: bool
-    trace_log: list = field(default_factory=list)
+class BaselineResult(GenResult):
+    """``outputs`` are the coherent and complete outputs; the others are
+    ``partial_outputs``: (surface, deriv, root, failed checks)."""
 
-    @property
-    def surfaces(self):
-        return [" ".join(out[0]) for out in self.outputs]
+    partial_outputs: list = field(default_factory=list)
 
     @property
     def partial_surfaces(self):
         return [" ".join(out[0]) for out in self.partial_outputs]
-
-
-def semantic_link(mode: str, goal_sem: Value, entry_sem: Value) -> bool:
-    """Pure form of the per-mode semantic link check."""
-    from .avm import unify
-    if goal_sem is ABSENT or entry_sem is ABSENT:
-        return True
-    if mode == UNIFY_LINK:
-        return unify(goal_sem, entry_sem) is not None
-    if mode == SUBSTRUCTURE_LINK:
-        return any(unify(entry_sem, sub) is not None
-                   for sub in substructures(goal_sem))
-    raise ValueError(f"unknown link mode {mode!r}")
 
 
 def _link_pivot(env, mode, pivot, sem_raw) -> bool:
@@ -98,7 +79,7 @@ def generate_shdg(grammar: Grammar, goal: Value, mode: str = UNIFY_LINK,
     if mode not in (UNIFY_LINK, SUBSTRUCTURE_LINK):
         raise ValueError(f"unknown link mode {mode!r}")
     cfg = cfg or GenConfig()
-    search = Search(grammar, cfg, grammar.rules, grammar.link.pairs,
+    search = Search(grammar, cfg, grammar.rules, grammar.link,
                     lambda rule: rule.head_index, _linked_pivots(mode))
     goal_inst = search.env.instantiate(goal, {})
     goal_cat = goal_category(goal_inst, search.env)
@@ -106,17 +87,13 @@ def generate_shdg(grammar: Grammar, goal: Value, mode: str = UNIFY_LINK,
     input_sem = search.env.resolve(sem_raw) if sem_raw is not ABSENT else ABSENT
     outputs = []
     partial = []
-    exhausted = False
-    try:
-        for tokens, deriv, root in distinct_outputs(search, goal_inst):
-            failures = check_output(grammar, tokens, goal_cat, input_sem, cfg)
-            if failures:
-                partial.append((tokens, deriv, root, tuple(failures)))
-            else:
-                outputs.append((tokens, deriv, root))
-            if cfg.max_results is not None and len(outputs) >= cfg.max_results:
+    for tokens, deriv, root in distinct_outputs(search, goal_inst):
+        failures = check_output(grammar, tokens, goal_cat, input_sem, cfg)
+        if failures:
+            partial.append((tokens, deriv, root, tuple(failures)))
+        else:
+            outputs.append((tokens, deriv, root))
+            if len(outputs) == cfg.max_results:
                 break
-    except BudgetExhausted:
-        exhausted = True
-    return BaselineResult(outputs, partial, search.steps.used, exhausted,
-                          search.log)
+    return BaselineResult(outputs, search.steps.used, search.exhausted, search.log,
+                          partial)

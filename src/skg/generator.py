@@ -20,12 +20,13 @@ a modifier list.
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .avm import ABSENT, Avm, Env, ListVal, Value, get, normalize, variables
 from .grammar import NONSK, SK, Grammar
 from .kernel import decompose, is_sk, sk_of
 from .search import (
     DONE,
-    BudgetExhausted,
     GenConfig,
     GenerationError,
     GenResult,
@@ -34,7 +35,6 @@ from .search import (
     distinct_outputs,
     goal_category,
     instantiate_rule,
-    resolve_node,
 )
 
 
@@ -71,17 +71,17 @@ def _expansions(env, grammar, goal_cat, sem_raw, sem, tick):
     """
     weight = nonsk_weight(sem, grammar)
     for rule in grammar.rules:
-        if rule.sk_class != NONSK or not grammar.link.reachable(goal_cat,
-                                                                rule.mother_cat):
+        if rule.sk_class != NONSK or (goal_cat, rule.mother_cat) not in grammar.link:
             continue
         tick()
         mark = env.mark()
         mother, daughters = instantiate_rule(env, rule)
         mother_sem = get(mother, ("sem",))
         if mother_sem is not ABSENT and env.unify(mother_sem, sem_raw) is not None:
-            mother = resolve_node(env, mother)
-            if mother is not None and nonsk_weight(
-                    _sem(env, daughters[rule.head_index]), grammar) == weight - 1:
+            mother = env.resolve(mother)
+            tick()  # one step for projecting the mother, as in Search.complete
+            head_sem = _sem(env, daughters[rule.head_index])
+            if nonsk_weight(head_sem, grammar) == weight - 1:
                 yield rule, mother, daughters
         env.undo(mark)
 
@@ -133,18 +133,11 @@ def generate(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> GenResult:
     """
     cfg = cfg or GenConfig()
     search = Search(grammar, cfg, [r for r in grammar.rules if r.sk_class == SK],
-                    grammar.link.pairs, lambda rule: rule.head_index,
+                    grammar.link, lambda rule: rule.head_index,
                     _kernel_pivots, table={})
-    outputs = []
-    exhausted = False
-    try:
-        for output in distinct_outputs(search, search.env.instantiate(goal, {})):
-            outputs.append(output)
-            if cfg.max_results is not None and len(outputs) >= cfg.max_results:
-                break
-    except BudgetExhausted:
-        exhausted = True
-    return GenResult(outputs, search.steps.used, exhausted, search.log)
+    outputs = list(islice(distinct_outputs(search, search.env.instantiate(goal, {})),
+                          cfg.max_results))
+    return GenResult(outputs, search.steps.used, search.exhausted, search.log)
 
 
 def nonsk_expansions(grammar: Grammar, goal: Value):

@@ -1,4 +1,4 @@
-"""Grammar and lexicon: DSL loading, rule classification, link relation.
+"""Grammar and lexicon: DSL loading, rule classification, link relations.
 
 The DSL is statement-oriented; every statement ends with ``.`` and ``%``
 starts a line comment::
@@ -95,33 +95,21 @@ class Rule:
         return c.name
 
 
-@dataclass(frozen=True)
-class CategoryLinkRelation:
-    pairs: frozenset  # frozenset[(goal cat, pivot cat)]
-
-    def __contains__(self, pair) -> bool:
-        return pair in self.pairs
-
-    def reachable(self, goal_cat: str, pivot_cat: str) -> bool:
-        return (goal_cat, pivot_cat) in self.pairs
-
-
 @dataclass
 class Grammar:
     rules: list
     lexicon: list
     nonsk_paths: list  # list[tuple[str, ...]], relative to a node's sem
     start: str
-    link: CategoryLinkRelation = field(init=False)
+    link: frozenset = field(init=False)  # head-corner (goal cat, pivot cat) pairs
 
     def __post_init__(self):
-        self.link = compute_link(self.rules, self.lexicon)
+        self.link = link_closure(self.rules, self.lexicon, lambda r: r.head_index)
 
     @cached_property
     def left_corner(self) -> frozenset:
-        """Closure of (mother cat, leftmost daughter cat), plus reflexivity."""
-        return closure({(c, c) for c in categories(self.rules, self.lexicon)}
-                       | {(r.mother_cat, r.daughter_cat(0)) for r in self.rules})
+        """The parser's link relation: the leftmost daughter is the corner."""
+        return link_closure(self.rules, self.lexicon, lambda r: 0)
 
     def rule_by_id(self, rule_id: str) -> Rule:
         for r in self.rules:
@@ -138,30 +126,25 @@ class Grammar:
 # ---------------------------------------------------------------------------
 
 
-def categories(rules, lexicon) -> set:
-    """Every category a rule or lexical entry mentions."""
+def link_closure(rules, lexicon, corner) -> frozenset:
+    """Reflexive-transitive closure of (mother cat, corner daughter cat).
+
+    ``corner(rule)`` is the index of the daughter a pivot enters the rule
+    by: the head daughter for generation, the leftmost one for parsing.
+    Every category a rule or lexical entry mentions links to itself.
+    """
     cats = {e.cat for e in lexicon}
+    pairs = set()
     for r in rules:
         cats.add(r.mother_cat)
         cats.update(r.daughter_cat(i) for i in range(len(r.daughters)))
-    return cats
-
-
-def closure(pairs) -> frozenset:
-    """Transitive closure of a relation given as (a, b) pairs."""
-    pairs = set(pairs)
+        pairs.add((r.mother_cat, r.daughter_cat(corner(r))))
+    pairs |= {(c, c) for c in cats}
     while True:
         new = {(a, d) for a, b in pairs for c, d in pairs if b == c} - pairs
         if not new:
             return frozenset(pairs)
         pairs |= new
-
-
-def compute_link(rules, lexicon) -> CategoryLinkRelation:
-    """Reflexive-transitive closure of the mother -> head-daughter relation."""
-    return CategoryLinkRelation(closure(
-        {(c, c) for c in categories(rules, lexicon)}
-        | {(r.mother_cat, r.daughter_cat(r.head_index)) for r in rules}))
 
 
 def _list_pattern(value, path):
@@ -221,14 +204,6 @@ def classify_rule(rule: Rule, nonsk_paths):
             f"rule {rule.id}: list at path {'.'.join(path)} grows by "
             f"{growth} elements; only single-element growth is supported")
     return SK, None
-
-
-def lexical_candidates(grammar: Grammar, goal: Value):
-    """Lexicon entries whose category is link-reachable from the goal's."""
-    cat = get(goal, ("cat",))
-    if not isinstance(cat, Atom):
-        raise GrammarError("goal has no category atom")
-    return [e for e in grammar.lexicon if grammar.link.reachable(cat.name, e.cat)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .avm import ABSENT, Atom, Avm, ListVal, Value, get, normalize, put, subsumes
+from .avm import ABSENT, Avm, ListVal, Value, get, normalize, put, subsumes
 from .grammar import Grammar
 
 
@@ -59,17 +59,6 @@ def decompose(sem: Value, grammar: Grammar) -> Decomposition:
             items.append((path, element))
         kernel = put(kernel, path, ListVal((), None))
     return Decomposition(normalize(kernel), tuple(items))
-
-
-def recompose(d: Decomposition) -> Value:
-    """Append the stripped elements back at their paths (test oracle)."""
-    sem = d.kernel
-    for path, element in d.nonsk_items:
-        current = get(sem, path)
-        if not isinstance(current, ListVal):
-            current = ListVal((), None)
-        sem = put(sem, path, ListVal(current.items + (element,), current.tail))
-    return normalize(sem)
 
 
 def sk_of(sem, candidate: Value, grammar: Grammar) -> bool:

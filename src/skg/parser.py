@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .avm import ABSENT, Atom, Avm, Value, get, normalize, subsumes
 from .grammar import Grammar
 from .kernel import normalize_nonsk
-from .search import BudgetExhausted, GenConfig, Search, drive, signature
+from .search import GenConfig, Search, signature
 
 
 class ParseError(ValueError):
@@ -68,21 +68,16 @@ def parse(grammar: Grammar, tokens, cfg: GenConfig = None,
     goal = env.instantiate(Avm((("cat", Atom(root_cat)),)), {})
     analyses = []
     seen = set()
-    exhausted = False
-    try:
-        for deriv, end, merged in drive(search.solve(goal, 0)):
-            if end != len(tokens):
-                continue
-            sem = get(env.resolve(merged), ("sem",))
-            sem = normalize(sem) if sem is not ABSENT else ABSENT
-            key = (sem, signature(deriv))
-            if key in seen:
-                continue
+    for deriv, end, merged in search.run(goal, 0):
+        if end != len(tokens):
+            continue
+        sem = get(env.resolve(merged), ("sem",))
+        sem = normalize(sem) if sem is not ABSENT else ABSENT
+        key = (sem, signature(deriv))
+        if key not in seen:
             seen.add(key)
             analyses.append((sem, deriv))
-    except BudgetExhausted:
-        exhausted = True
-    return ParseResult(analyses, search.steps.used, exhausted)
+    return ParseResult(analyses, search.steps.used, search.exhausted)
 
 
 # ---------------------------------------------------------------------------

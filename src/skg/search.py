@@ -15,6 +15,9 @@ yields a sub-search to pull that sub-search's next solution, and is sent
 :data:`DONE` once it is exhausted; it yields any other value to hand a
 solution to whoever pulled it.  No Python frame or C stack grows with the
 depth of the search, so a budget-bounded regress ends with its budget.
+:meth:`Search.run` is the one loop every entry point reads solutions
+from; it ends them when the step budget runs out and records that on the
+search.
 
 Generation also memoises its ground daughter goals in a per-call table
 (:meth:`Search.tabled`), in the manner of van Noord's memo tables and
@@ -111,6 +114,8 @@ class GenConfig:
     def __post_init__(self):
         if self.step_budget < 1:
             raise ValueError("step_budget must be positive")
+        if self.max_results is not None and self.max_results < 1:
+            raise ValueError("max_results must be positive")
 
 
 class StepCounter:
@@ -152,17 +157,6 @@ def instantiate_rule(env: Env, rule):
     mapping = {}
     return (env.instantiate(rule.mother, mapping),
             [env.instantiate(d, mapping) for d in rule.daughters])
-
-
-def resolve_node(env: Env, description):
-    """Force overlays in an instantiated mother description; None on clash.
-
-    Resolving substitutes bindings and merges any overlay whose rest
-    variable got bound by unification; the self-unify turns a latent
-    overlay clash into an explicit failure.
-    """
-    resolved = env.resolve(description)
-    return env.unify(resolved, resolved)
 
 
 def adds_nothing(env: Env, value: Value, ground: Value) -> bool:
@@ -216,7 +210,7 @@ class Search:
     ``pivots(search, goal, goal_cat, pos)`` returns a search that yields
     ``(pivot, derivation, end)`` triples.  ``pos`` is the parser's input
     position and ``None`` in generation.  Solutions are
-    ``(derivation, end, merged goal)`` triples.
+    ``(derivation, end, merged goal)`` triples, read through :meth:`run`.
 
     With a ``table`` (a dict), the daughters of a rule whose goals have
     no variables left are solved once per search and their solutions
@@ -239,6 +233,7 @@ class Search:
         self.tracing = cfg.trace
         self.log = []
         self.table = table
+        self.exhausted = False  # set by run when the step budget ran out
 
     def note(self, *parts):
         """Add a trace line; values are rendered only when tracing is on."""
@@ -246,6 +241,13 @@ class Search:
             self.log.append(" ".join(
                 p if isinstance(p, str)
                 else render(normalize(self.env.resolve(p))) for p in parts))
+
+    def run(self, goal: Value, pos=None):
+        """The solutions of ``goal``, until the search or its budget ends."""
+        try:
+            yield from drive(self.solve(goal, pos))
+        except BudgetExhausted:
+            self.exhausted = True
 
     def solve(self, goal: Value, pos=None):
         goal_cat = goal_category(goal, self.env)
@@ -278,9 +280,9 @@ class Search:
                 children[corner] = deriv
                 rest = self.daughters(daughters, sisters, end, children)
                 while (found := (yield rest)) is not DONE:
-                    mother_value = resolve_node(env, mother)
-                    if mother_value is None:
-                        continue
+                    # resolving forces every overlay whose rest got bound
+                    mother_value = env.resolve(mother)
+                    self.steps.tick()  # one step for projecting the mother
                     up = self.complete(mother_value, Node(rule.id, found[0]),
                                        found[1], goal, goal_cat)
                     while (solution := (yield up)) is not DONE:
@@ -373,7 +375,7 @@ class Search:
 def distinct_outputs(search: Search, goal: Value):
     """Distinct (surface tokens, derivation, resolved goal) solutions of a goal."""
     seen = set()
-    for deriv, _, _ in drive(search.solve(goal)):
+    for deriv, _, _ in search.run(goal):
         tokens = yield_tokens(deriv)
         key = (tokens, signature(deriv))
         if key not in seen:

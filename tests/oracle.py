@@ -22,9 +22,10 @@ from skg import (
     Node,
     get,
     normalize,
+    put,
     render,
 )
-from skg.kernel import normalize_nonsk
+from skg.kernel import Decomposition, normalize_nonsk
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +119,22 @@ def oracle_surfaces(grammar: Grammar, goal, max_tokens: int):
         if normalize_nonsk(sem, grammar) == want:
             out.add(tokens)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Kernel decomposition inverse.
+# ---------------------------------------------------------------------------
+
+
+def recompose(d: Decomposition):
+    """Append the stripped elements back at their paths (inverts decompose)."""
+    sem = d.kernel
+    for path, element in d.nonsk_items:
+        current = get(sem, path)
+        if not isinstance(current, ListVal):
+            current = ListVal((), None)
+        sem = put(sem, path, ListVal(current.items + (element,), current.tail))
+    return normalize(sem)
 
 
 # ---------------------------------------------------------------------------

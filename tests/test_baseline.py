@@ -5,16 +5,25 @@ import pytest
 from skg import (
     SUBSTRUCTURE_LINK,
     UNIFY_LINK,
+    Avm,
+    Env,
     GenConfig,
     generate,
     generate_shdg,
     parse_value,
-    semantic_link,
 )
+from skg.baseline import _link_pivot
 
 
 def P(text):
     return parse_value(text)
+
+
+def semantic_link(mode, goal_sem, entry_sem):
+    """The baseline's link check for an entry with ``entry_sem``."""
+    env = Env()
+    pivot = env.instantiate(Avm((("sem", entry_sem),)), {})
+    return _link_pivot(env, mode, pivot, env.instantiate(goal_sem, {}))
 
 
 def test_semantic_link_unify():
@@ -39,8 +48,6 @@ def test_semantic_link_substructure():
 
 
 def test_semantic_link_unknown_mode():
-    with pytest.raises(ValueError):
-        semantic_link("bogus", P("a"), P("a"))
     with pytest.raises(ValueError):
         generate_shdg(None, P("[cat: s]"), "bogus")  # checked before use
 

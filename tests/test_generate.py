@@ -79,6 +79,12 @@ def test_max_results(grammar, sentence_goal):
     assert len(result.outputs) == 1
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+def test_max_results_must_be_positive(limit):
+    with pytest.raises(ValueError):
+        GenConfig(max_results=limit)
+
+
 def test_deterministic(grammar, sentence_goal):
     a = generate(grammar, sentence_goal)
     b = generate(grammar, sentence_goal)

@@ -9,7 +9,6 @@ from skg import (
     GrammarError,
     Rule,
     classify_rule,
-    lexical_candidates,
     load_grammar,
     parse_value,
     serialize_grammar,
@@ -40,28 +39,24 @@ def test_start_and_paths(grammar):
 
 def test_link_relation(grammar):
     link = grammar.link
-    assert link.reachable("s", "s")
-    assert link.reachable("s", "vp")
-    assert link.reachable("s", "v")
-    assert link.reachable("np", "n2")
-    assert link.reachable("np", "n")
-    assert link.reachable("n2", "n")
-    assert not link.reachable("s", "np")
-    assert not link.reachable("np", "s")
-    assert not link.reachable("n", "n2")
+    assert ("s", "s") in link
+    assert ("s", "vp") in link
+    assert ("s", "v") in link
+    assert ("np", "n2") in link
+    assert ("np", "n") in link
+    assert ("n2", "n") in link
+    assert ("s", "np") not in link
+    assert ("np", "s") not in link
+    assert ("n", "n2") not in link
+    # only head-reachable categories; det is generated as a sister
+    assert ("np", "det") not in link
+    assert {e.cat for e in grammar.lexicon if ("np", e.cat) in link} == {"n"}
 
 
 def test_lexicon_lookup(grammar):
     assert len(grammar.entries_for("the")) == 1
     assert grammar.entries_for("the")[0].cat == "det"
     assert grammar.entries_for("nothing") == []
-
-
-def test_lexical_candidates(grammar):
-    goal = parse_value("[cat: np, sem: [rel: sentence]]")
-    cats = {e.cat for e in lexical_candidates(grammar, goal)}
-    # only head-reachable categories; det is generated as a sister
-    assert cats == {"n"}
 
 
 def test_rule_accessors(grammar):

@@ -10,10 +10,9 @@ from skg.kernel import (
     is_sk,
     lexically_grounded,
     normalize_nonsk,
-    recompose,
     sk_of,
 )
-from oracle import random_goal
+from oracle import random_goal, recompose
 
 
 def P(text):

@@ -39,7 +39,7 @@ def untabled(grammar, goal):
     """Outputs of a plain search with the same four settings as ``generate``."""
     search = Search(grammar, GenConfig(),
                     [r for r in grammar.rules if r.sk_class == SK],
-                    grammar.link.pairs, lambda rule: rule.head_index,
+                    grammar.link, lambda rule: rule.head_index,
                     _kernel_pivots)
     assert search.table is None
     return list(distinct_outputs(search, search.env.instantiate(goal, {})))
