@@ -78,6 +78,17 @@ class ListVal:
     items: tuple  # tuple[Value, ...]
     tail: Optional["Var"] = None  # None means the list is closed
 
+    # Memo of ``ground_items``.  A class attribute, not a dataclass field,
+    # so it plays no part in ==, hash or repr.
+    _ground = None
+
+    @property
+    def ground_items(self) -> bool:
+        """True iff no item contains a variable; computed once per list."""
+        if self._ground is None:
+            object.__setattr__(self, "_ground", all(map(_var_free, self.items)))
+        return self._ground
+
     def __repr__(self):
         body = ", ".join(repr(i) for i in self.items)
         if self.tail is not None:
@@ -92,6 +103,17 @@ class Overlay:
 
     def __repr__(self):
         return f"Overlay({self.rest!r} + {self.over!r})"
+
+
+def _var_free(value: Value) -> bool:
+    """True iff ``value`` contains no variable, bound or not."""
+    if isinstance(value, Atom):
+        return True
+    if isinstance(value, Avm):
+        return all(_var_free(v) for _, v in value.pairs)
+    if isinstance(value, ListVal):
+        return value.tail is None and value.ground_items
+    return False  # a Var, or an Overlay, whose rest is a Var
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +193,8 @@ class Env:
         if isinstance(value, Avm):
             return any(self.occurs(tag, v) for _, v in value.pairs)
         if isinstance(value, ListVal):
-            if any(self.occurs(tag, v) for v in value.items):
+            if not value.ground_items and any(self.occurs(tag, v)
+                                              for v in value.items):
                 return True
             return value.tail is not None and self.occurs(tag, value.tail)
         if isinstance(value, Overlay):
@@ -180,21 +203,28 @@ class Env:
 
     # -- list normalization -------------------------------------------------
 
-    def _spread(self, lst: ListVal) -> ListVal:
-        """Flatten a list whose tail variable is bound to another list."""
-        items = lst.items
+    def _segments(self, lst: ListVal):
+        """The lists joined through ``lst``'s bound tails, and the last tail.
+
+        The last tail is None for a closed list, an unbound variable, or
+        a variable bound to a non-list (ill-typed; it surfaces as a
+        unification failure later).
+        """
+        segments = [lst]
         tail = lst.tail
         while tail is not None:
             walked = self.walk(tail)
             if isinstance(walked, ListVal):
-                items = items + walked.items
+                segments.append(walked)
                 tail = walked.tail
-            elif isinstance(walked, Var):
-                return ListVal(items, walked)
             else:
-                # Ill-typed tail; surfaces as a unification failure later.
-                return ListVal(items, tail if isinstance(tail, Var) else None)
-        return ListVal(items, None)
+                return segments, walked if isinstance(walked, Var) else tail
+        return segments, None
+
+    def _spread(self, lst: ListVal) -> ListVal:
+        """Flatten a list whose tail variable is bound to another list."""
+        segments, tail = self._segments(lst)
+        return ListVal(sum((s.items for s in segments), ()), tail)
 
     # -- unification --------------------------------------------------------
 
@@ -361,9 +391,22 @@ class Env:
         if isinstance(value, Avm):
             return Avm(tuple((f, self.resolve(v)) for f, v in value.pairs))
         if isinstance(value, ListVal):
-            value = self._spread(value)
-            items = tuple(self.resolve(v) for v in value.items)
-            return ListVal(items, value.tail)
+            # A variable-free segment is copied whole, so resolving a
+            # list costs its segments, not its items, and the result's
+            # ground_items memo is set from theirs.
+            segments, tail = self._segments(value)
+            items = ()
+            ground = True
+            for segment in segments:
+                if segment.ground_items:
+                    items += segment.items
+                else:
+                    resolved = tuple(self.resolve(v) for v in segment.items)
+                    ground = ground and all(map(_var_free, resolved))
+                    items += resolved
+            lst = ListVal(items, tail)
+            object.__setattr__(lst, "_ground", ground)
+            return lst
         if isinstance(value, Overlay):
             forced = self._force_overlay(value)
             if forced is None or isinstance(forced, Overlay):

@@ -59,7 +59,10 @@ def _load_goal(path: str, root: str, grammar):
 
 
 def _config(args) -> GenConfig:
-    budget = args.budget if args.budget is not None else default_budget()
+    try:
+        budget = args.budget if args.budget is not None else default_budget()
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
     if budget < 1:
         raise InputError(f"budget must be positive, got {budget}")
     return GenConfig(step_budget=budget, trace=getattr(args, "trace", False))

@@ -43,13 +43,20 @@ PLAIN = object()  # a subgoal table entry that asks for plain search
 
 
 def default_budget() -> int:
+    """``SKG_BUDGET`` when it is set and not empty, else ``DEFAULT_BUDGET``.
+
+    A value that is not a positive integer is a ``ValueError``.
+    """
     env = os.environ.get("SKG_BUDGET")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return DEFAULT_BUDGET
+    if not env:
+        return DEFAULT_BUDGET
+    try:
+        budget = int(env)
+    except ValueError:
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"SKG_BUDGET must be a positive integer, got {env!r}")
+    return budget
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 Nothing here shares search logic with the package: the generation
 oracle is a brute-force bottom-up chart enumeration bounded by yield
 length, and the unification oracle is a direct recursive meet on
-variable-free values.
+variable-free values.  The element-by-element ``reference_resolve`` and
+``reference_occurs`` use only ``Env``'s variable lookup (and its
+overlay forcing), not its list-segment shortcuts.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from skg import (
     Leaf,
     ListVal,
     Node,
+    Overlay,
+    Var,
     get,
     normalize,
     put,
@@ -199,6 +203,65 @@ def universe(atoms=("a", "b"), features=("f", "g"), depth=2):
                 values.append(r)
         prev = [Atom(n) for n in atoms] + records
     return values
+
+
+# ---------------------------------------------------------------------------
+# Element-by-element resolution and occurs check (references for Env's).
+# ---------------------------------------------------------------------------
+
+
+def reference_spread(env: Env, lst: ListVal) -> ListVal:
+    """Flatten a list whose tail variable is bound to another list."""
+    items = lst.items
+    tail = lst.tail
+    while tail is not None:
+        walked = env.walk(tail)
+        if isinstance(walked, ListVal):
+            items = items + walked.items
+            tail = walked.tail
+        elif isinstance(walked, Var):
+            return ListVal(items, walked)
+        else:
+            return ListVal(items, tail if isinstance(tail, Var) else None)
+    return ListVal(items, None)
+
+
+def reference_occurs(env: Env, tag: str, value) -> bool:
+    """Whether variable ``tag`` occurs in ``value``, visiting every item."""
+    value = env.walk(value)
+    if isinstance(value, Var):
+        return value.tag == tag
+    if isinstance(value, Avm):
+        return any(reference_occurs(env, tag, v) for _, v in value.pairs)
+    if isinstance(value, ListVal):
+        if any(reference_occurs(env, tag, v) for v in value.items):
+            return True
+        return value.tail is not None and reference_occurs(env, tag, value.tail)
+    if isinstance(value, Overlay):
+        return (reference_occurs(env, tag, value.rest)
+                or reference_occurs(env, tag, value.over))
+    return False
+
+
+def reference_resolve(env: Env, value):
+    """Substitute all bindings, resolving every list item one by one."""
+    value = env.walk(value)
+    if isinstance(value, (Atom, Var)):
+        return value
+    if isinstance(value, Avm):
+        return Avm(tuple((f, reference_resolve(env, v)) for f, v in value.pairs))
+    if isinstance(value, ListVal):
+        value = reference_spread(env, value)
+        return ListVal(tuple(reference_resolve(env, v) for v in value.items),
+                       value.tail)
+    if isinstance(value, Overlay):
+        forced = env._force_overlay(value)
+        if forced is None or isinstance(forced, Overlay):
+            rest = env.walk(value.rest)
+            rest = rest if isinstance(rest, Var) else Var(value.rest.tag)
+            return Overlay(rest, reference_resolve(env, value.over))
+        return reference_resolve(env, forced)
+    raise TypeError(value)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from skg import (
     unify,
     variables,
 )
-from oracle import ground_subsumes, ground_unify, universe
+from oracle import (ground_subsumes, ground_unify, reference_occurs,
+                    reference_resolve, universe)
 
 UNIVERSE = universe()
 
@@ -161,6 +162,99 @@ def test_occurs_check():
     assert env.unify(x, Avm((("f", x),))) is None
     # within one side, a cyclic constraint still fails
     assert unify(P("[f: X, g: X]"), P("[f: Y, g: [h: Y]]")) is None
+
+
+# Env.resolve and Env.occurs skip variable-free list segments; the
+# references in oracle.py visit every item.
+N_VARS = 5
+
+
+def _tails(lo):
+    """None, or one of the variables V<lo> .. V<N_VARS - 1>."""
+    return st.sampled_from([None] + [Var(f"V{i}") for i in range(lo, N_VARS)])
+
+
+def _items(lo):
+    """Values over the variables V<lo> .. V<N_VARS - 1>."""
+    leaves = st.sampled_from([Atom("a"), Atom("b")]
+                             + [Var(f"V{i}") for i in range(lo, N_VARS)])
+
+    def compound(children):
+        records = st.builds(lambda f, g: Avm(tuple(p for p in (("f", f), ("g", g))
+                                                   if p[1] is not None)),
+                            st.none() | children, st.none() | children)
+        lists = st.builds(ListVal, st.lists(children, max_size=3).map(tuple),
+                          _tails(lo))
+        return records | lists
+
+    return st.recursive(leaves, compound, max_leaves=4)
+
+
+ITEMS = [_items(lo) for lo in range(N_VARS + 1)]  # ITEMS[N_VARS]: variable-free
+TAILS = [_tails(lo) for lo in range(N_VARS + 1)]
+
+
+def _segment(draw, lo, tails):
+    """A list over V<lo> ..; half of them have variable-free items."""
+    items = ITEMS[N_VARS] if draw(st.booleans()) else ITEMS[lo]
+    return ListVal(tuple(draw(st.lists(items, max_size=4))), draw(tails))
+
+
+@st.composite
+def bound_values(draw):
+    """An Env binding each V<i> (or not) to a value over V<i+1> .., and a value.
+
+    A variable bound to a list makes a chain of bound list tails, mixing
+    variable-free and non-variable-free segments; one bound to an atom
+    or a record makes an ill-typed tail.
+    """
+    env = Env()
+    for i in range(N_VARS):
+        kind = draw(st.sampled_from(["unbound", "list", "list", "other"]))
+        if kind == "list":
+            env.bind(f"V{i}", _segment(draw, i + 1, TAILS[i + 1]))
+        elif kind == "other":
+            env.bind(f"V{i}", draw(ITEMS[i + 1]))
+    value = _segment(draw, 0, st.sampled_from([Var("V0"), Var("V1"), None]))
+    return env, Avm((("f", value),)) if draw(st.booleans()) else value
+
+
+def _lists_in(value):
+    if isinstance(value, ListVal):
+        yield value
+        for v in value.items:
+            yield from _lists_in(v)
+    elif isinstance(value, Avm):
+        for _, v in value.pairs:
+            yield from _lists_in(v)
+
+
+@settings(max_examples=200)
+@given(bound_values())
+def test_resolve_and_occurs_match_the_references(case):
+    env, value = case
+    expected = reference_resolve(env, value)
+    # the second pass reads the memos the first one computed, and the
+    # third resolves a value whose lists carry the memos resolve set
+    for v in (value, value, env.resolve(value)):
+        got = env.resolve(v)
+        assert got == expected
+        assert hash(got) == hash(expected) and repr(got) == repr(expected)
+        for i in range(N_VARS):
+            assert env.occurs(f"V{i}", v) == reference_occurs(env, f"V{i}", v)
+    for lst in _lists_in(got):
+        assert lst.ground_items == all(next(variables(v), None) is None
+                                       for v in lst.items)
+
+
+def test_ground_items_memo_is_invisible():
+    lst = ListVal((Atom("a"), P("[f: <b>]")), Var("T"))
+    bare = ListVal(lst.items, lst.tail)
+    assert lst.ground_items
+    assert "_ground" in vars(lst) and "_ground" not in vars(bare)
+    assert lst == bare and hash(lst) == hash(bare) and repr(lst) == repr(bare)
+    assert normalize(lst) == normalize(bare) and render(lst) == render(bare)
+    assert not ListVal((Atom("a"), Var("X"))).ground_items
 
 
 def test_unify_open_lists():

@@ -160,8 +160,20 @@ def test_bad_semantics_file(capsys, tmp_path):
 def test_budget_env_var(monkeypatch):
     monkeypatch.setenv("SKG_BUDGET", "1234")
     assert default_budget() == 1234
-    monkeypatch.setenv("SKG_BUDGET", "junk")
+    monkeypatch.delenv("SKG_BUDGET")
     assert default_budget() == 10 ** 6
+    monkeypatch.setenv("SKG_BUDGET", "junk")
+    with pytest.raises(ValueError, match="SKG_BUDGET"):
+        default_budget()
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-5"])
+def test_bad_budget_env_var_exits_3(capsys, monkeypatch, value):
+    monkeypatch.setenv("SKG_BUDGET", value)
+    code, out, err = run(capsys, "generate", "--grammar", GRAMMAR, "--sem", NP_SEM)
+    assert code == EXIT_INPUT
+    assert err == f"error: SKG_BUDGET must be a positive integer, got {value!r}\n"
+    assert out == ""
 
 
 def test_budget_env_var_drives_generate(capsys, monkeypatch):

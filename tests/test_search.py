@@ -1,4 +1,4 @@
-"""The shared search engine: flat search loop, trace cost, budgets on cyclic grammars."""
+"""The shared search engine: flat search loop, trace cost, baseline cost per step, budgets on cyclic grammars."""
 
 import sys
 
@@ -8,6 +8,7 @@ import skg
 from skg import (
     SUBSTRUCTURE_LINK,
     UNIFY_LINK,
+    Env,
     GenConfig,
     Leaf,
     LexEntry,
@@ -63,6 +64,30 @@ def test_generate_renders_nothing_with_trace_off(grammar, sentence_goal, np_goal
     assert calls == []
     assert generate(grammar, np_goal, GenConfig(trace=True)).trace_log
     assert calls
+
+
+@pytest.mark.parametrize("mode", [UNIFY_LINK, SUBSTRUCTURE_LINK])
+def test_baseline_cost_per_step_stays_flat(grammar, np_goal, monkeypatch, mode):
+    # each level of the modifier regress makes the list one item longer;
+    # occurs and resolve must not walk it again, so 4x the steps costs
+    # about 4x the calls (walking it costs about 15x)
+    calls = {"occurs": 0, "resolve": 0}
+    for name in calls:
+        original = getattr(Env, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(Env, name, counting)
+    counts = []
+    for budget in (10 ** 4, 4 * 10 ** 4):
+        calls.update(occurs=0, resolve=0)
+        result = generate_shdg(grammar, np_goal, mode, GenConfig(step_budget=budget))
+        assert result.exhausted_budget
+        counts.append(dict(calls))
+    for name in calls:
+        assert counts[1][name] <= 5 * counts[0][name], counts
 
 
 def test_derivation_walks_do_not_recurse():
