@@ -45,10 +45,8 @@ from .search import (
     GenResult,
     Leaf,
     Node,
-    StepCounter,
     default_budget,
     format_derivation,
-    signature,
     yield_tokens,
 )
 from .generator import GenerationError, generate, nonsk_expansions, nonsk_weight

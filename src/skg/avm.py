@@ -26,6 +26,7 @@ the generators and the parser) lives in :class:`Env`.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Optional, Union
@@ -121,16 +122,30 @@ def _var_free(value: Value) -> bool:
 # ---------------------------------------------------------------------------
 
 
-class Env:
-    """Variable bindings with a trail for chronological backtracking."""
+class BudgetExhausted(Exception):
+    """Raised by :meth:`Env.tick` when a search runs out of steps."""
 
-    def __init__(self):
+
+class Env:
+    """Variable bindings with a trail for chronological backtracking.
+
+    ``steps`` counts the work done in the environment: one step per
+    unification node visited, plus the steps a search takes itself
+    (:meth:`tick`).  Once the count passes ``budget``, :meth:`tick`
+    raises :class:`BudgetExhausted`.
+    """
+
+    def __init__(self, budget=math.inf):
         self.bindings: dict = {}
         self.trail: list = []
         self._fresh = itertools.count()
-        # Optional callback invoked once per unification node visit;
-        # searches install a step counter here so budgets measure work.
-        self.on_step = None
+        self.budget = budget
+        self.steps = 0
+
+    def tick(self) -> None:
+        self.steps += 1
+        if self.steps > self.budget:
+            raise BudgetExhausted()
 
     def mark(self) -> int:
         return len(self.trail)
@@ -235,8 +250,7 @@ class Env:
         mark it took beforehand.  The returned value preserves variable
         links so reentrant positions keep co-evolving.
         """
-        if self.on_step is not None:
-            self.on_step()
+        self.tick()
         a_chain, a = self._walk_chain(a)
         b_chain, b = self._walk_chain(b)
         if a is b and not isinstance(a, Overlay):
@@ -357,10 +371,10 @@ class Env:
             if u is None:
                 return None
             merged.append(u)
-        extra = b.items[len(a.items):]
-        if extra:
+        if len(b.items) > len(a.items):
             if a.tail is None:
                 return None
+            extra = b.items[len(a.items):]
             tail_val = ListVal(extra, b.tail)
             if any(self.occurs(a.tail.tag, x) for x in extra):
                 return None
@@ -719,19 +733,30 @@ def _merge_static(a: Value, b: Value, where) -> Value:
     raise AvmSyntaxError(f"cannot merge repeated feature values", where[0], where[1])
 
 
+#: Deepest nesting of records and lists the reader accepts.  The value
+#: operations recurse, so deeper input would exhaust the interpreter's
+#: stack instead of being rejected.
+MAX_NESTING = 100
+
+
 class _Parser:
     """Recursive-descent parser for the textual AVM syntax."""
 
     def __init__(self, stream: TokenStream, fresh):
         self.stream = stream
         self.fresh = fresh
+        self.depth = 0  # records and lists open around the current value
 
     def value(self) -> Value:
         kind, text, line, col = self.stream.peek()
-        if kind == "punct" and text == "[":
-            return self.record()
-        if kind == "punct" and text == "<":
-            return self.list_value()
+        if kind == "punct" and text in "[<":
+            if self.depth == MAX_NESTING:
+                raise AvmSyntaxError(
+                    f"records and lists nested deeper than {MAX_NESTING}", line, col)
+            self.depth += 1
+            v = self.record() if text == "[" else self.list_value()
+            self.depth -= 1
+            return v
         if kind == "tag":
             self.stream.next()
             return Var(text)

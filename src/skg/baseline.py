@@ -95,5 +95,5 @@ def generate_shdg(grammar: Grammar, goal: Value, mode: str = UNIFY_LINK,
             outputs.append((tokens, deriv, root))
             if len(outputs) == cfg.max_results:
                 break
-    return BaselineResult(outputs, search.steps.used, search.exhausted, search.log,
+    return BaselineResult(outputs, search.env.steps, search.exhausted, search.log,
                           partial)

@@ -60,12 +60,10 @@ def _load_goal(path: str, root: str, grammar):
 
 def _config(args) -> GenConfig:
     try:
-        budget = args.budget if args.budget is not None else default_budget()
+        budget = default_budget() if args.budget is None else args.budget
+        return GenConfig(step_budget=budget, trace=getattr(args, "trace", False))
     except ValueError as exc:
         raise InputError(str(exc)) from exc
-    if budget < 1:
-        raise InputError(f"budget must be positive, got {budget}")
-    return GenConfig(step_budget=budget, trace=getattr(args, "trace", False))
 
 
 def _emit(args, payload: dict, lines):
@@ -86,7 +84,7 @@ def _gen_report(args, result, label):
     }
     lines = [f"{label}: {len(surfaces)} output(s), {result.steps_used} step(s)"]
     lines += [f"  {s}" for s in surfaces]
-    if getattr(args, "derivations", False):
+    if args.derivations:
         derivs = sorted(format_derivation(d) for _, d, _ in result.outputs)
         payload["derivations"] = derivs
         lines += ["derivations:"] + [f"  {d}" for d in derivs]
@@ -102,7 +100,7 @@ def _gen_report(args, result, label):
         lines += [f"  {s}  [{', '.join(f)}]" for s, f in flagged]
     if result.exhausted_budget:
         lines.append("budget exhausted")
-    if getattr(args, "trace", False):
+    if args.trace:
         payload["trace"] = list(result.trace_log)
         lines += ["trace:"] + [f"  {t}" for t in result.trace_log]
     return payload, lines
@@ -164,7 +162,7 @@ def cmd_parse(args):
         "budget_exhausted": result.exhausted_budget,
     }
     lines = [f"{len(result.analyses)} analysis/analyses"] + [f"  {s}" for s in sems]
-    if getattr(args, "derivations", False):
+    if args.derivations:
         derivs = sorted(format_derivation(d) for _, d in result.analyses)
         payload["derivations"] = derivs
         lines += ["derivations:"] + [f"  {d}" for d in derivs]
@@ -283,14 +281,13 @@ def build_parser() -> argparse.ArgumentParser:
         description="Generation and parsing with feature-structure grammars.")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, sem=True):
+    def common(p, budget=True):
         p.add_argument("--grammar", required=True, help="grammar file")
-        if sem:
-            p.add_argument("--sem", required=True, help="goal semantics file")
-        p.add_argument("--budget", type=int, default=None,
-                       help="step budget (default: SKG_BUDGET or 10^6)")
+        p.add_argument("--sem", required=True, help="goal semantics file")
+        if budget:
+            p.add_argument("--budget", type=int, default=None,
+                           help="step budget (default: SKG_BUDGET or 10^6)")
         p.add_argument("--root", default=None, help="root category")
-        p.add_argument("--trace", action="store_true")
         p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("check", help="load and validate a grammar")
@@ -300,6 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate strings from semantics")
     common(p)
+    p.add_argument("--trace", action="store_true")
     p.add_argument("--algo", choices=("skg", "shdg"), default="skg")
     p.add_argument("--link", choices=("unify", "substructure"), default="unify")
     p.add_argument("--derivations", action="store_true")
@@ -324,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("analyze", help="kernel analysis of a goal")
-    common(p)
+    common(p, budget=False)
     p.set_defaults(func=cmd_analyze)
 
     return top

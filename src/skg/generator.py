@@ -61,7 +61,7 @@ def _sem(env: Env, value):
     return env.resolve(sem) if sem is not ABSENT else ABSENT
 
 
-def _expansions(env, grammar, goal_cat, sem_raw, sem, tick):
+def _expansions(env, grammar, goal_cat, sem_raw, sem):
     """The NonSK expansion step for a goal with non-kernel elements.
 
     Yields ``(rule, mother, daughters)`` for each NonSK rule whose mother
@@ -73,13 +73,13 @@ def _expansions(env, grammar, goal_cat, sem_raw, sem, tick):
     for rule in grammar.rules:
         if rule.sk_class != NONSK or (goal_cat, rule.mother_cat) not in grammar.link:
             continue
-        tick()
+        env.tick()
         mark = env.mark()
         mother, daughters = instantiate_rule(env, rule)
         mother_sem = get(mother, ("sem",))
         if mother_sem is not ABSENT and env.unify(mother_sem, sem_raw) is not None:
             mother = env.resolve(mother)
-            tick()  # one step for projecting the mother, as in Search.complete
+            env.tick()  # one step for projecting the mother, as in Search.complete
             head_sem = _sem(env, daughters[rule.head_index])
             if nonsk_weight(head_sem, grammar) == weight - 1:
                 yield rule, mother, daughters
@@ -88,7 +88,7 @@ def _expansions(env, grammar, goal_cat, sem_raw, sem, tick):
 
 def _expansion_pivots(search, goal, goal_cat, sem_raw, sem, pos):
     for rule, mother, daughters in _expansions(search.env, search.g, goal_cat,
-                                               sem_raw, sem, search.steps.tick):
+                                               sem_raw, sem):
         search.note("hc_complete(NonSK) rule", rule.id, "for goal", goal)
         head = rule.head_index
         order = [head] + [i for i in range(len(daughters)) if i != head]
@@ -129,7 +129,9 @@ def generate(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> GenResult:
     """Enumerate all derivations for a goal description, up to cfg limits.
 
     Output entries are (surface tokens, derivation, root description)
-    triples; duplicates (same surface and same derivation) are dropped.
+    triples, one per derivation.  Homographs (lexical entries with the
+    same surface and category but different descriptions) give distinct
+    derivations, so a surface can come more than once.
     """
     cfg = cfg or GenConfig()
     search = Search(grammar, cfg, [r for r in grammar.rules if r.sk_class == SK],
@@ -137,7 +139,7 @@ def generate(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> GenResult:
                     _kernel_pivots, table={})
     outputs = list(islice(distinct_outputs(search, search.env.instantiate(goal, {})),
                           cfg.max_results))
-    return GenResult(outputs, search.steps.used, search.exhausted, search.log)
+    return GenResult(outputs, search.env.steps, search.exhausted, search.log)
 
 
 def nonsk_expansions(grammar: Grammar, goal: Value):
@@ -150,4 +152,4 @@ def nonsk_expansions(grammar: Grammar, goal: Value):
         raise GenerationError("goal has kernel-only semantics")
     return [(rule, [normalize(env.resolve(d)) for d in daughters])
             for rule, _, daughters in _expansions(
-                env, grammar, goal_cat, get(goal, ("sem",)), sem, lambda: None)]
+                env, grammar, goal_cat, get(goal, ("sem",)), sem)]

@@ -219,6 +219,7 @@ def load_grammar(text: str) -> Grammar:
     nonsk_paths = []
     start = None
     seen_ids = set()
+    seen_entries = set()
 
     while stream.peek()[0] != "eof":
         kind, word, line, col = stream.peek()
@@ -262,6 +263,11 @@ def load_grammar(text: str) -> Grammar:
             if not isinstance(cat, Atom):
                 raise GrammarError(
                     f"lexical entry {surface!r} lacks a category atom (line {line})")
+            # a repeated entry would give every derivation through it twice
+            key = (surface, normalize(desc))
+            if key in seen_entries:
+                raise GrammarError(f"duplicate lexical entry {surface!r} (line {line})")
+            seen_entries.add(key)
             lexicon.append(LexEntry(surface, desc))
         else:  # pragma: no cover - keyword set is exhaustive
             raise AvmSyntaxError(f"unexpected keyword {word!r}", line, col)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .avm import ABSENT, Atom, Avm, Value, get, normalize, subsumes
 from .grammar import Grammar
 from .kernel import normalize_nonsk
-from .search import GenConfig, Search, signature
+from .search import GenConfig, Search
 
 
 class ParseError(ValueError):
@@ -67,17 +67,11 @@ def parse(grammar: Grammar, tokens, cfg: GenConfig = None,
     env = search.env
     goal = env.instantiate(Avm((("cat", Atom(root_cat)),)), {})
     analyses = []
-    seen = set()
     for deriv, end, merged in search.run(goal, 0):
-        if end != len(tokens):
-            continue
-        sem = get(env.resolve(merged), ("sem",))
-        sem = normalize(sem) if sem is not ABSENT else ABSENT
-        key = (sem, signature(deriv))
-        if key not in seen:
-            seen.add(key)
-            analyses.append((sem, deriv))
-    return ParseResult(analyses, search.steps.used, search.exhausted)
+        if end == len(tokens):
+            sem = get(env.resolve(merged), ("sem",))
+            analyses.append((normalize(sem) if sem is not ABSENT else ABSENT, deriv))
+    return ParseResult(analyses, search.env.steps, search.exhausted)
 
 
 # ---------------------------------------------------------------------------
@@ -142,8 +136,7 @@ def roundtrip(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> RoundTrip
         return RoundTripReport(False, "budget-exhausted", [], result)
     if not result.outputs:
         return RoundTripReport(False, "no-output", [], result)
-    cat = get(goal, ("cat",))
-    root_cat = cat.name if isinstance(cat, Atom) else grammar.start
+    root_cat = get(goal, ("cat",)).name  # generate has checked it is an atom
     input_sem = get(goal, ("sem",))
     entries = []
     ok = True

@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from types import GeneratorType
 from typing import Optional
 
-from .avm import (ABSENT, Atom, Avm, Env, ListVal, Overlay, Value, get,
-                  normalize, render, variables)
+from .avm import (Atom, BudgetExhausted, Env, Value, get, normalize, render,
+                  variables)
 from .grammar import LexEntry
 
 DEFAULT_BUDGET = 10 ** 6
@@ -89,23 +89,12 @@ def yield_tokens(derivation) -> tuple:
                  if isinstance(n, Leaf))
 
 
-def signature(derivation):
-    """Hashable identity of a derivation: its nodes in preorder with arities."""
-    return tuple(("lex", n.entry.surface, n.entry.cat) if isinstance(n, Leaf)
-                 else ("rule", n.rule_id, len(n.children))
-                 for _, n in _preorder(derivation))
-
-
 def format_derivation(derivation, indent: int = 0) -> str:
     return "\n".join(
         "  " * (indent + depth)
         + (f"lex {n.entry.surface!r} ({n.entry.cat})" if isinstance(n, Leaf)
            else f"rule {n.rule_id}")
         for depth, n in _preorder(derivation))
-
-
-class BudgetExhausted(Exception):
-    """Raised internally when a search runs out of steps."""
 
 
 class GenerationError(ValueError):
@@ -120,20 +109,9 @@ class GenConfig:
 
     def __post_init__(self):
         if self.step_budget < 1:
-            raise ValueError("step_budget must be positive")
+            raise ValueError(f"step_budget must be positive, got {self.step_budget}")
         if self.max_results is not None and self.max_results < 1:
             raise ValueError("max_results must be positive")
-
-
-class StepCounter:
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.used = 0
-
-    def tick(self):
-        self.used += 1
-        if self.used > self.budget:
-            raise BudgetExhausted()
 
 
 @dataclass
@@ -150,10 +128,7 @@ class GenResult:
 
 def goal_category(goal: Value, env: Env) -> str:
     """The name of the goal's ``cat`` atom, read without resolving the goal."""
-    node = env.walk(goal)
-    while isinstance(node, Overlay) and node.over.get("cat") is ABSENT:
-        node = env.walk(node.rest)
-    cat = env.walk(get(node, ("cat",)))
+    cat = env.walk(get(env.walk(goal), ("cat",)))
     if not isinstance(cat, Atom):
         raise GenerationError("generation goal has no category atom")
     return cat.name
@@ -164,21 +139,6 @@ def instantiate_rule(env: Env, rule):
     mapping = {}
     return (env.instantiate(rule.mother, mapping),
             [env.instantiate(d, mapping) for d in rule.daughters])
-
-
-def adds_nothing(env: Env, value: Value, ground: Value) -> bool:
-    """True iff ``value``, a unifier of variable-free ``ground``, adds no feature."""
-    value = env.walk(value)
-    if isinstance(ground, Avm):
-        return (isinstance(value, Avm) and len(value.pairs) == len(ground.pairs)
-                and all(adds_nothing(env, value.get(f), v) for f, v in ground.pairs))
-    if isinstance(ground, ListVal):
-        value = env.resolve(value)
-        return (isinstance(value, ListVal) and value.tail is None
-                and len(value.items) == len(ground.items)
-                and all(adds_nothing(env, v, g)
-                        for v, g in zip(value.items, ground.items)))
-    return True
 
 
 def drive(search):
@@ -234,9 +194,7 @@ class Search:
             c = corner(rule)
             sisters = [i for i in range(len(rule.daughters)) if i != c]
             self.plans.append((rule, rule.mother_cat, c, sisters))
-        self.env = Env()
-        self.steps = StepCounter(cfg.step_budget)
-        self.env.on_step = self.steps.tick
+        self.env = Env(cfg.step_budget)
         self.tracing = cfg.trace
         self.log = []
         self.table = table
@@ -268,7 +226,7 @@ class Search:
     def complete(self, pivot, deriv, end, goal, goal_cat):
         """The head-corner step: succeed locally, or project the pivot."""
         env = self.env
-        self.steps.tick()
+        env.tick()
         mark = env.mark()
         merged = env.unify(pivot, goal)
         if merged is not None:
@@ -278,7 +236,7 @@ class Search:
         for rule, mother_cat, corner, sisters in self.plans:
             if (goal_cat, mother_cat) not in self.link:
                 continue
-            self.steps.tick()
+            env.tick()
             mark = env.mark()
             mother, daughters = instantiate_rule(env, rule)
             if env.unify(daughters[corner], pivot) is not None:
@@ -289,7 +247,7 @@ class Search:
                 while (found := (yield rest)) is not DONE:
                     # resolving forces every overlay whose rest got bound
                     mother_value = env.resolve(mother)
-                    self.steps.tick()  # one step for projecting the mother
+                    env.tick()  # one step for projecting the mother
                     up = self.complete(mother_value, Node(rule.id, found[0]),
                                        found[1], goal, goal_cat)
                     while (solution := (yield up)) is not DONE:
@@ -347,10 +305,11 @@ class Search:
         self.table[key] = PLAIN  # until it is filled
         answers = []
         exact = True
+        want = normalize(resolved)
         sub = self.solve(resolved, pos)
         while (found := (yield sub)) is not DONE:
             answers.append(found[:2])
-            exact = exact and adds_nothing(self.env, found[2], resolved)
+            exact = exact and normalize(self.env.resolve(found[2])) == want
         if not exact:
             sub = self.solve(goal, pos)
             while (found := (yield sub)) is not DONE:
@@ -370,7 +329,7 @@ class Search:
         for entry in entries:
             if (goal_cat, entry.cat) not in self.link:
                 continue
-            self.steps.tick()
+            env.tick()
             mark = env.mark()
             pivot = attach(entry)
             if pivot is not None:
@@ -380,11 +339,13 @@ class Search:
 
 
 def distinct_outputs(search: Search, goal: Value):
-    """Distinct (surface tokens, derivation, resolved goal) solutions of a goal."""
-    seen = set()
+    """The (surface tokens, derivation, resolved goal) solutions of a goal.
+
+    Each derivation comes once: a pivot source yields each lexical entry
+    or NonSK expansion once, a pivot completes through each rule once,
+    sister solutions are distinct by induction, and the table replays
+    each stored answer once per request.  The loader rejects a repeated
+    lexical entry, the one way two solutions could share a derivation.
+    """
     for deriv, _, _ in search.run(goal):
-        tokens = yield_tokens(deriv)
-        key = (tokens, signature(deriv))
-        if key not in seen:
-            seen.add(key)
-            yield tokens, deriv, normalize(search.env.resolve(goal))
+        yield yield_tokens(deriv), deriv, normalize(search.env.resolve(goal))

@@ -10,6 +10,7 @@ from skg import (
     Atom,
     Avm,
     AvmSyntaxError,
+    BudgetExhausted,
     Env,
     ListVal,
     Overlay,
@@ -79,6 +80,13 @@ def test_parse_errors():
     for bad in ("[a b]", "<a | b>", "[f:", "#", '"unterminated'):
         with pytest.raises(AvmSyntaxError):
             P(bad)
+
+
+def test_nesting_is_bounded():
+    assert P("[f: " * 50 + "<" * 50 + "a" + ">" * 50 + "]" * 50) is not None
+    for deep in ("<" * 101 + ">" * 101, "[f: " * 60 + "<" * 41 + ">" * 41 + "]" * 60):
+        with pytest.raises(AvmSyntaxError, match="nested deeper than 100"):
+            P(deep)
 
 
 @settings(max_examples=200)
@@ -389,10 +397,36 @@ def test_env_instantiate_renames_apart():
 
 def test_env_step_hook_counts_work():
     env = Env()
-    counter = []
-    env.on_step = lambda: counter.append(1)
     env.unify(P("[f: a, g: [h: b]]"), P("[f: a, g: [h: b]]"))
-    assert len(counter) >= 1
+    assert env.steps >= 1
+
+
+@pytest.mark.parametrize("budget", [1, 3])
+def test_env_budget_raises_on_the_step_after_it(budget):
+    env = Env(budget)
+    for _ in range(budget):
+        env.tick()
+    assert env.steps == budget
+    with pytest.raises(BudgetExhausted):
+        env.tick()
+    assert env.steps == budget + 1
+    # every unification node is a step
+    env = Env(budget)
+    with pytest.raises(BudgetExhausted):
+        env.unify(P("[f: [g: [h: a]]]"), P("[f: [g: [h: a]]]"))
+    assert env.steps == budget + 1
+
+
+def test_env_without_budget_never_raises():
+    env = Env()
+    for _ in range(10 ** 4):
+        env.tick()
+    assert env.steps == 10 ** 4
+
+
+def test_budget_exhausted_is_one_class():
+    import skg.search
+    assert skg.BudgetExhausted is skg.search.BudgetExhausted is BudgetExhausted
 
 
 def test_random_ground_triples_associative():

@@ -212,6 +212,10 @@ def test_json_output_is_deterministic(capsys):
     (["generate", "--grammar", GRAMMAR], None),
     (["frobnicate", "--grammar", GRAMMAR], None),
     ([], None),
+    (["roundtrip", "--grammar", GRAMMAR, "--sem", NP_SEM, "--trace"], None),
+    (["compare", "--grammar", GRAMMAR, "--sem", NP_SEM, "--trace"], None),
+    (["analyze", "--grammar", GRAMMAR, "--sem", NP_SEM, "--trace"], None),
+    (["analyze", "--grammar", GRAMMAR, "--sem", NP_SEM, "--budget", "0"], None),
 ])
 def test_malformed_input_exits_3_with_one_error_line(capsys, tmp_path, argv, goal):
     if goal is not None:
@@ -235,3 +239,49 @@ def test_cyclic_unary_rule_exits_on_budget(capsys, tmp_path):
                                 "--grammar", str(grammar), "--sem", str(sem),
                                 "--budget", "200")
     assert code == EXIT_BUDGET and payload["budget_exhausted"]
+
+
+def _nested(depth):
+    """A goal whose records are nested ``depth`` deep."""
+    return "[cat: np, sem: " + "[f: " * (depth - 1) + "a" + "]" * depth
+
+
+@pytest.mark.parametrize("command", ["generate", "roundtrip", "compare", "analyze"])
+def test_deep_goal_exits_3(capsys, tmp_path, command):
+    sem = tmp_path / "deep.sem"
+    sem.write_text(_nested(5000))
+    code, out, err = run(capsys, command, "--grammar", GRAMMAR, "--sem", str(sem))
+    assert code == EXIT_INPUT
+    assert err.startswith("error: bad semantics: ") and err.count("\n") == 1, err
+    assert "nested deeper than 100" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate"], ["roundtrip"], ["compare", "--budget", "1000"], ["analyze"],
+])
+def test_goal_nested_100_deep_runs(capsys, tmp_path, argv):
+    sem = tmp_path / "deep.sem"
+    sem.write_text(_nested(100))
+    code, out, err = run(capsys, *argv, "--grammar", GRAMMAR, "--sem", str(sem))
+    assert code in (EXIT_OK, EXIT_FAIL, EXIT_BUDGET) and err == ""
+    assert out
+
+
+@pytest.mark.parametrize("argv", [["check"], ["generate", "--sem", NP_SEM]])
+def test_deep_grammar_rule_exits_3(capsys, tmp_path, argv):
+    grammar = tmp_path / "deep.skg"
+    grammar.write_text("rule 1 head 1: " + _nested(5000) + " -> [cat: n].\n")
+    code, out, err = run(capsys, *argv, "--grammar", str(grammar))
+    assert code == EXIT_INPUT
+    assert err.startswith("error: bad grammar: ") and err.count("\n") == 1, err
+    assert out == ""
+
+
+def test_repeated_lexical_entry_exits_3(capsys, tmp_path):
+    grammar = tmp_path / "twice.skg"
+    grammar.write_text(CYCLIC + 'lex "go": [cat: v, sem: [pred: go]].\n')
+    code, out, err = run(capsys, "check", "--grammar", str(grammar))
+    assert code == EXIT_INPUT
+    assert err == "error: bad grammar: duplicate lexical entry 'go' (line 5)\n"
+    assert out == ""

@@ -100,6 +100,22 @@ def test_duplicate_rule_id_rejected():
         load_grammar(bad)
 
 
+def test_repeated_lexical_entry_rejected():
+    # the same entry again, with its features reordered and a variable
+    # renamed, would give every derivation through it twice
+    bad = (MINI + 'lex "v": [cat: y, sem: [rel: v, arg: A]].\n'
+           + 'lex "v": [sem: [arg: B, rel: v], cat: y].\n')
+    with pytest.raises(GrammarError, match="duplicate lexical entry 'v'"):
+        load_grammar(bad)
+
+
+def test_homographs_are_distinct_derivations():
+    g = load_grammar(MINI + 'lex "w": [cat: y, sem: [rel: w], num: sg].\n')
+    result = skg.generate(g, parse_value("[cat: x, sem: [rel: w]]"))
+    assert result.surfaces == ["w", "w"]
+    assert [d.children[0].entry for _, d, _ in result.outputs] == g.lexicon
+
+
 def test_head_index_out_of_range_rejected():
     bad = MINI.replace("head 1", "head 2")
     with pytest.raises(GrammarError, match="head index"):

@@ -1,8 +1,11 @@
-"""The shared search engine: flat search loop, trace cost, baseline cost per step, budgets on cyclic grammars."""
+"""The shared search engine: flat search loop, trace cost, baseline cost per step, budgets on cyclic grammars, each derivation once."""
 
+import random
 import sys
 
 import pytest
+from oracle import random_goal
+from test_tabling import REFINING, ladder_goal
 
 import skg
 from skg import (
@@ -19,7 +22,6 @@ from skg import (
     load_grammar,
     parse,
     parse_value,
-    signature,
     yield_tokens,
 )
 
@@ -96,7 +98,6 @@ def test_derivation_walks_do_not_recurse():
     for _ in range(5 * sys.getrecursionlimit()):
         deep = Node("1", (deep,))
     assert yield_tokens(deep) == ("go",)
-    assert len(signature(deep)) == 5 * sys.getrecursionlimit() + 1
     assert format_derivation(deep).endswith("lex 'go' (v)")
 
 
@@ -107,3 +108,39 @@ def test_derivation_walks_do_not_recurse():
 ])
 def test_cyclic_unary_rule_ends_with_the_budget(run):
     assert run(load_grammar(CYCLIC)).exhausted_budget
+
+
+def _derivations_come_once(grammar, goal, budget=None):
+    """No result of the three searches on ``goal`` lists a derivation twice.
+
+    ``budget`` bounds every search; without it, the baseline gets 10^4
+    steps and the others the default budget.
+    """
+    cat = goal.get("cat").name
+
+    def once(derivations):
+        shown = [format_derivation(d) for d in derivations]
+        assert len(shown) == len(set(shown)), goal
+        return shown
+
+    cfg = GenConfig(step_budget=budget) if budget else GenConfig()
+    result = generate(grammar, goal, cfg)
+    once(d for _, d, _ in result.outputs)
+    for mode in (UNIFY_LINK, SUBSTRUCTURE_LINK):
+        base = generate_shdg(grammar, goal, mode, GenConfig(step_budget=budget or 10 ** 4))
+        once([d for _, d, _ in base.outputs] + [d for _, d, _, _ in base.partial_outputs])
+    for surface in set(result.surfaces):
+        assert once(d for _, d in parse(grammar, surface, cfg, cat).analyses)
+
+
+def test_each_derivation_comes_once(grammar, np_goal, sentence_goal):
+    rng = random.Random(11)
+    for goal in [np_goal, sentence_goal] + [ladder_goal(k) for k in range(5)] \
+            + [random_goal(rng) for _ in range(8)]:
+        _derivations_come_once(grammar, goal)
+    _derivations_come_once(load_grammar(REFINING),
+                           parse_value("[cat: s, sem: [pred: sleep, arg: [rel: dog]]]"))
+    cyclic = load_grammar(CYCLIC)
+    _derivations_come_once(cyclic, parse_value("[cat: s, sem: [pred: go]]"), 10 ** 3)
+    analyses = parse(cyclic, "go", GenConfig(step_budget=5 * 10 ** 3)).analyses
+    assert len({format_derivation(d) for _, d in analyses}) == len(analyses) == 624

@@ -15,12 +15,12 @@ from skg import (
     SUBSTRUCTURE_LINK,
     UNIFY_LINK,
     GenConfig,
+    format_derivation,
     generate,
     generate_shdg,
     load_grammar,
     parse,
     parse_value,
-    signature,
 )
 from skg.generator import _kernel_pivots
 from skg.grammar import SK
@@ -49,7 +49,8 @@ def assert_same_outputs(grammar, goal):
     tabled = generate(grammar, goal).outputs
     plain = untabled(grammar, goal)
     assert [t for t, _, _ in tabled] == [t for t, _, _ in plain]
-    assert [signature(d) for _, d, _ in tabled] == [signature(d) for _, d, _ in plain]
+    assert [format_derivation(d) for _, d, _ in tabled] \
+        == [format_derivation(d) for _, d, _ in plain]
     assert [r for _, _, r in tabled] == [r for _, _, r in plain]
 
 
