@@ -122,6 +122,25 @@ def _var_free(value: Value) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _copy(v: Value, mapping: dict, fresh) -> Value:
+    """``Env.instantiate``'s copy; not a closure, since a recursive closure is a
+    reference cycle that keeps its ``Env`` alive until the cycle collector runs."""
+    if isinstance(v, Atom):
+        return v
+    if isinstance(v, Var):
+        if v.tag not in mapping:
+            mapping[v.tag] = fresh()
+        return mapping[v.tag]
+    if isinstance(v, Avm):
+        return Avm(tuple((f, _copy(x, mapping, fresh)) for f, x in v.pairs))
+    if isinstance(v, ListVal):
+        tail = _copy(v.tail, mapping, fresh) if v.tail is not None else None
+        return ListVal(tuple(_copy(x, mapping, fresh) for x in v.items), tail)
+    if isinstance(v, Overlay):
+        return Overlay(_copy(v.rest, mapping, fresh), _copy(v.over, mapping, fresh))
+    raise TypeError(v)
+
+
 class BudgetExhausted(Exception):
     """Raised by :meth:`Env.tick` when a search runs out of steps."""
 
@@ -178,26 +197,7 @@ class Env:
         A shared ``mapping`` keeps reentrancy across several values
         instantiated together (e.g. a rule's mother and daughters).
         """
-        if mapping is None:
-            mapping = {}
-
-        def go(v):
-            if isinstance(v, Atom):
-                return v
-            if isinstance(v, Var):
-                if v.tag not in mapping:
-                    mapping[v.tag] = self.fresh_var()
-                return mapping[v.tag]
-            if isinstance(v, Avm):
-                return Avm(tuple((f, go(x)) for f, x in v.pairs))
-            if isinstance(v, ListVal):
-                tail = go(v.tail) if v.tail is not None else None
-                return ListVal(tuple(go(x) for x in v.items), tail)
-            if isinstance(v, Overlay):
-                return Overlay(go(v.rest), go(v.over))
-            raise TypeError(v)
-
-        return go(value)
+        return _copy(value, {} if mapping is None else mapping, self.fresh_var)
 
     # -- occurs check -------------------------------------------------------
 
@@ -520,17 +520,12 @@ def get(value: Value, path) -> object:
     v = value
     for feature in path:
         if isinstance(v, Overlay):
-            nxt = v.over.get(feature)
-            if nxt is ABSENT:
-                return ABSENT
-            v = nxt
-            continue
+            v = v.over
         if not isinstance(v, Avm):
             return ABSENT
-        nxt = v.get(feature)
-        if nxt is ABSENT:
+        v = v.get(feature)
+        if v is ABSENT:
             return ABSENT
-        v = nxt
     return v
 
 
@@ -548,18 +543,9 @@ def put(value: Value, path, new: Value) -> Value:
     if not isinstance(value, Avm):
         raise ValueError(f"cannot set feature {f!r} on non-record value")
     old = value.get(f)
-    child = put(old if old is not ABSENT else ABSENT, rest, new)
-    pairs = []
-    replaced = False
-    for g, v in value.pairs:
-        if g == f:
-            pairs.append((g, child))
-            replaced = True
-        else:
-            pairs.append((g, v))
-    if not replaced:
-        pairs.append((f, child))
-    return Avm(tuple(pairs))
+    child = put(old, rest, new)
+    pairs = tuple((g, child if g == f else v) for g, v in value.pairs)
+    return Avm(pairs if old is not ABSENT else pairs + ((f, child),))
 
 
 def substructures(value: Value):

@@ -59,7 +59,7 @@ def _link_pivot(env, mode, pivot, sem_raw) -> bool:
 
 
 def _linked_pivots(mode):
-    def pivots(search, goal, goal_cat, pos):
+    def pivots(search, goal, goal_cat, pos, ground):
         env = search.env
         sem_raw = get(goal, ("sem",))
 
@@ -79,8 +79,8 @@ def generate_shdg(grammar: Grammar, goal: Value, mode: str = UNIFY_LINK,
     if mode not in (UNIFY_LINK, SUBSTRUCTURE_LINK):
         raise ValueError(f"unknown link mode {mode!r}")
     cfg = cfg or GenConfig()
-    search = Search(grammar, cfg, grammar.rules, grammar.link,
-                    lambda rule: rule.head_index, _linked_pivots(mode))
+    search = Search(grammar, cfg, grammar.tables.head, grammar.link, None,
+                    _linked_pivots(mode))
     goal_inst = search.env.instantiate(goal, {})
     goal_cat = goal_category(goal_inst, search.env)
     sem_raw = get(goal_inst, ("sem",))

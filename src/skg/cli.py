@@ -87,7 +87,7 @@ def _gen_report(args, result, label):
     if args.derivations:
         derivs = sorted(format_derivation(d) for _, d, _ in result.outputs)
         payload["derivations"] = derivs
-        lines += ["derivations:"] + [f"  {d}" for d in derivs]
+        lines += ["derivations:"] + ["  " + d.replace("\n", "\n  ") for d in derivs]
     partial = getattr(result, "partial_outputs", None)
     if partial is not None:
         flagged = sorted(
@@ -165,7 +165,7 @@ def cmd_parse(args):
     if args.derivations:
         derivs = sorted(format_derivation(d) for _, d in result.analyses)
         payload["derivations"] = derivs
-        lines += ["derivations:"] + [f"  {d}" for d in derivs]
+        lines += ["derivations:"] + ["  " + d.replace("\n", "\n  ") for d in derivs]
     _emit(args, payload, lines)
     if result.exhausted_budget:
         return EXIT_BUDGET

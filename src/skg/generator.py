@@ -23,7 +23,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .avm import ABSENT, Avm, Env, ListVal, Value, get, normalize, variables
-from .grammar import NONSK, SK, Grammar
+from .grammar import Grammar
 from .kernel import decompose, is_sk, sk_of
 from .search import (
     DONE,
@@ -34,7 +34,6 @@ from .search import (
     Search,
     distinct_outputs,
     goal_category,
-    instantiate_rule,
 )
 
 
@@ -70,16 +69,16 @@ def _expansions(env, grammar, goal_cat, sem_raw, sem):
     terminating); the bindings last until the next expansion is asked for.
     """
     weight = nonsk_weight(sem, grammar)
-    for rule in grammar.rules:
-        if rule.sk_class != NONSK or (goal_cat, rule.mother_cat) not in grammar.link:
-            continue
+    for rule, _, _ in grammar.tables.nonsk.get(goal_cat, ()):
         env.tick()
         mark = env.mark()
-        mother, daughters = instantiate_rule(env, rule)
+        fresh = {}  # the daughters are copied only if the mother fits
+        mother = env.instantiate(rule.mother, fresh)
         mother_sem = get(mother, ("sem",))
         if mother_sem is not ABSENT and env.unify(mother_sem, sem_raw) is not None:
             mother = env.resolve(mother)
             env.tick()  # one step for projecting the mother, as in Search.complete
+            daughters = [env.instantiate(d, fresh) for d in rule.daughters]
             head_sem = _sem(env, daughters[rule.head_index])
             if nonsk_weight(head_sem, grammar) == weight - 1:
                 yield rule, mother, daughters
@@ -97,17 +96,17 @@ def _expansion_pivots(search, goal, goal_cat, sem_raw, sem, pos):
             yield mother, Node(rule.id, found[0]), found[1]
 
 
-def _kernel_pivots(search, goal, goal_cat, pos):
+def _kernel_pivots(search, goal, goal_cat, pos, ground):
     """NonSK expansions for a non-kernel goal, else kernel-checked entries."""
     env, grammar = search.env, search.g
     sem_raw = get(goal, ("sem",))
-    sem = _sem(env, goal)
+    sem = sem_raw if ground else _sem(env, goal)  # a tabled goal comes resolved
     if sem is not ABSENT and not is_sk(sem, grammar):
         return _expansion_pivots(search, goal, goal_cat, sem_raw, sem, pos)
     # The kernel filter is a prune; with unbound variables in the goal (a
     # sister instantiated before its bindings arrive) it would reject
     # sound pivots, so it defers to unification in that case.
-    ground = sem is not ABSENT and next(variables(sem), None) is None
+    ground = sem is not ABSENT and (ground or next(variables(sem), None) is None)
     kernel = decompose(sem, grammar) if ground else None
 
     def attach(entry):
@@ -134,8 +133,7 @@ def generate(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> GenResult:
     derivations, so a surface can come more than once.
     """
     cfg = cfg or GenConfig()
-    search = Search(grammar, cfg, [r for r in grammar.rules if r.sk_class == SK],
-                    grammar.link, lambda rule: rule.head_index,
+    search = Search(grammar, cfg, grammar.tables.sk, grammar.link, None,
                     _kernel_pivots, table={})
     outputs = list(islice(distinct_outputs(search, search.env.instantiate(goal, {})),
                           cfg.max_results))

@@ -17,9 +17,10 @@ makes the variable stand for the remaining features (see
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .avm import (
     ABSENT,
@@ -52,6 +53,7 @@ class GrammarError(ValueError):
 class LexEntry:
     surface: str
     description: Value
+    sense: int = 0  # 0, or k for the k-th homograph: same surface and category
 
     @property
     def cat(self) -> str:
@@ -95,6 +97,15 @@ class Rule:
         return c.name
 
 
+class Tables(NamedTuple):
+    """What a search looks up, so that it does no per-rule work itself."""
+    sk: dict  # generate's plans (plan_table): the SK rules, by the head
+    head: dict  # the baseline's plans: every rule, by the head
+    left: dict  # the parser's plans: every rule, by the leftmost daughter
+    nonsk: dict  # the NonSK expansion's plans: the NonSK rules, by the head
+    entries: dict  # surface -> its lexical entries
+
+
 @dataclass
 class Grammar:
     rules: list
@@ -111,14 +122,26 @@ class Grammar:
         """The parser's link relation: the leftmost daughter is the corner."""
         return link_closure(self.rules, self.lexicon, lambda r: 0)
 
+    @cached_property
+    def tables(self) -> Tables:
+        """The grammar's search tables, built on its first search."""
+        head = plan_table(self.rules, self.link, lambda r: r.head_index)
+        sk, nonsk = ({g: [p for p in ps if p[0].sk_class == c]
+                      for g, ps in head.items()} for c in (SK, NONSK))
+        entries = {}
+        for e in self.lexicon:
+            entries.setdefault(e.surface, []).append(e)
+        return Tables(sk, head, plan_table(self.rules, self.left_corner, lambda r: 0),
+                      nonsk, entries)
+
     def rule_by_id(self, rule_id: str) -> Rule:
         for r in self.rules:
             if r.id == rule_id:
                 return r
         raise KeyError(rule_id)
 
-    def entries_for(self, surface: str):
-        return [e for e in self.lexicon if e.surface == surface]
+    def entries_for(self, surface: str) -> list:
+        return self.tables.entries.get(surface, [])
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +168,18 @@ def link_closure(rules, lexicon, corner) -> frozenset:
         if not new:
             return frozenset(pairs)
         pairs |= new
+
+
+def plan_table(rules, link, corner) -> dict:
+    """Per goal category, the plans of the rules whose mother it links to.
+
+    A plan is ``(rule, corner index, sister indices)``; each category's
+    plans keep the order of ``rules``.
+    """
+    plans = [(r, corner(r), [i for i in range(len(r.daughters)) if i != corner(r)])
+             for r in rules]
+    return {goal: [p for p in plans if (goal, p[0].mother_cat) in link]
+            for goal in sorted({goal for goal, _ in link})}
 
 
 def _list_pattern(value, path):
@@ -274,6 +309,12 @@ def load_grammar(text: str) -> Grammar:
 
     if start is None:
         start = rules[0].mother_cat if rules else "s"
+    senses = Counter((e.surface, e.cat) for e in lexicon)
+    numbered = Counter()  # homographs get numbers, so their derivations print apart
+    for i, e in enumerate(lexicon):
+        if senses[e.surface, e.cat] > 1:
+            numbered[e.surface, e.cat] += 1
+            lexicon[i] = LexEntry(e.surface, e.description, numbered[e.surface, e.cat])
 
     # validate and finalize classification
     final_rules = []

@@ -41,7 +41,7 @@ def tokenize_sentence(sentence: str):
 
 def _token_pivots(tokens):
     """Pivots for a goal at a position: the entries for the token there."""
-    def pivots(search, goal, goal_cat, pos):
+    def pivots(search, goal, goal_cat, pos, ground):
         entries = search.g.entries_for(tokens[pos]) if pos < len(tokens) else ()
         return search.lexical(
             entries, goal, goal_cat, pos + 1,
@@ -62,8 +62,8 @@ def parse(grammar: Grammar, tokens, cfg: GenConfig = None,
         if not grammar.entries_for(t):
             raise ParseError(f"unknown token {t!r}")
     root_cat = root_cat or grammar.start
-    search = Search(grammar, cfg, grammar.rules, left_corner_table(grammar),
-                    lambda rule: 0, _token_pivots(tokens))
+    search = Search(grammar, cfg, grammar.tables.left, left_corner_table(grammar),
+                    None, _token_pivots(tokens))
     env = search.env
     goal = env.instantiate(Avm((("cat", Atom(root_cat)),)), {})
     analyses = []

@@ -35,7 +35,7 @@ from typing import Optional
 
 from .avm import (Atom, BudgetExhausted, Env, Value, get, normalize, render,
                   variables)
-from .grammar import LexEntry
+from .grammar import LexEntry, plan_table
 
 DEFAULT_BUDGET = 10 ** 6
 DONE = object()  # sent to a search when the sub-search it pulled is exhausted
@@ -92,7 +92,8 @@ def yield_tokens(derivation) -> tuple:
 def format_derivation(derivation, indent: int = 0) -> str:
     return "\n".join(
         "  " * (indent + depth)
-        + (f"lex {n.entry.surface!r} ({n.entry.cat})" if isinstance(n, Leaf)
+        + (f"lex {n.entry.surface!r} ({n.entry.cat})"
+           + (f" #{n.entry.sense}" if n.entry.sense else "") if isinstance(n, Leaf)
            else f"rule {n.rule_id}")
         for depth, n in _preorder(derivation))
 
@@ -134,13 +135,6 @@ def goal_category(goal: Value, env: Env) -> str:
     return cat.name
 
 
-def instantiate_rule(env: Env, rule):
-    """Fresh copies of a rule's mother and daughters, sharing variables."""
-    mapping = {}
-    return (env.instantiate(rule.mother, mapping),
-            [env.instantiate(d, mapping) for d in rule.daughters])
-
-
 def drive(search):
     """Iterate the solutions of a search, running sub-searches on a flat stack."""
     stack = [search]
@@ -171,13 +165,15 @@ def drive(search):
 class Search:
     """One head-corner search over a grammar (see the module docstring).
 
-    ``rules`` are the completion rules; ``link`` holds the (goal
-    category, pivot category) pairs a goal may reach; ``corner(rule)`` is
-    the index of the daughter a pivot unifies with; and
-    ``pivots(search, goal, goal_cat, pos)`` returns a search that yields
-    ``(pivot, derivation, end)`` triples.  ``pos`` is the parser's input
-    position and ``None`` in generation.  Solutions are
-    ``(derivation, end, merged goal)`` triples, read through :meth:`run`.
+    ``rules`` are the completion rules, or their plan table (``plan_table``);
+    ``link`` holds the (goal category, pivot category) pairs a goal may
+    reach; ``corner(rule)`` is the index of the daughter a pivot unifies
+    with (unused with a table); ``pivots(search, goal, goal_cat, pos,
+    ground)`` returns a search that yields ``(pivot, derivation, end)``
+    triples, where ``pos`` is the parser's input position (``None`` in
+    generation) and ``ground`` marks a resolved goal without variables.
+    Solutions are ``(derivation, end, merged goal)`` triples, read
+    through :meth:`run`.
 
     With a ``table`` (a dict), the daughters of a rule whose goals have
     no variables left are solved once per search and their solutions
@@ -189,11 +185,8 @@ class Search:
         self.g = grammar
         self.link = link
         self.pivots = pivots
-        self.plans = []
-        for rule in rules:
-            c = corner(rule)
-            sisters = [i for i in range(len(rule.daughters)) if i != c]
-            self.plans.append((rule, rule.mother_cat, c, sisters))
+        self.plans = (rules if isinstance(rules, dict)
+                      else plan_table(rules, link, corner))
         self.env = Env(cfg.step_budget)
         self.tracing = cfg.trace
         self.log = []
@@ -214,9 +207,9 @@ class Search:
         except BudgetExhausted:
             self.exhausted = True
 
-    def solve(self, goal: Value, pos=None):
+    def solve(self, goal: Value, pos=None, ground=False):
         goal_cat = goal_category(goal, self.env)
-        source = self.pivots(self, goal, goal_cat, pos)
+        source = self.pivots(self, goal, goal_cat, pos, ground)
         while (found := (yield source)) is not DONE:
             pivot, deriv, end = found
             up = self.complete(pivot, deriv, end, goal, goal_cat)
@@ -233,17 +226,19 @@ class Search:
             self.note("local-success at", goal)
             yield deriv, end, merged
         env.undo(mark)
-        for rule, mother_cat, corner, sisters in self.plans:
-            if (goal_cat, mother_cat) not in self.link:
-                continue
+        for rule, corner, sisters in self.plans.get(goal_cat, ()):
             env.tick()
             mark = env.mark()
-            mother, daughters = instantiate_rule(env, rule)
-            if env.unify(daughters[corner], pivot) is not None:
+            # copy the rest only once the corner takes the pivot (Tomabechi 1991)
+            fresh = {}
+            if env.unify(env.instantiate(rule.daughters[corner], fresh),
+                         pivot) is not None:
                 self.note("hc_complete rule", rule.id, "over pivot", pivot)
-                children = [None] * len(daughters)
+                mother = env.instantiate(rule.mother, fresh)
+                copies = {i: env.instantiate(rule.daughters[i], fresh) for i in sisters}
+                children = [None] * len(rule.daughters)
                 children[corner] = deriv
-                rest = self.daughters(daughters, sisters, end, children)
+                rest = self.daughters(copies, sisters, end, children)
                 while (found := (yield rest)) is not DONE:
                     # resolving forces every overlay whose rest got bound
                     mother_value = env.resolve(mother)
@@ -306,7 +301,7 @@ class Search:
         answers = []
         exact = True
         want = normalize(resolved)
-        sub = self.solve(resolved, pos)
+        sub = self.solve(resolved, pos, ground=True)
         while (found := (yield sub)) is not DONE:
             answers.append(found[:2])
             exact = exact and normalize(self.env.resolve(found[2])) == want

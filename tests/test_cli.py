@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -285,3 +287,54 @@ def test_repeated_lexical_entry_exits_3(capsys, tmp_path):
     assert code == EXIT_INPUT
     assert err == "error: bad grammar: duplicate lexical entry 'go' (line 5)\n"
     assert out == ""
+
+
+HOMOGRAPHS = """
+start x.
+rule r1 head 1: [cat: x, sem: S] -> [cat: y, sem: S].
+lex "w": [cat: y, sem: [rel: w]].
+lex "w": [cat: y, sem: [rel: w], num: sg].
+"""
+
+
+def test_homograph_derivations_print_apart(capsys, tmp_path):
+    grammar = tmp_path / "homographs.skg"
+    grammar.write_text(HOMOGRAPHS)
+    sem = tmp_path / "w.sem"
+    sem.write_text("[cat: x, sem: [rel: w]]")
+    argv = ["generate", "--grammar", str(grammar), "--sem", str(sem), "--derivations"]
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    assert payload["derivations"] == ["rule r1\n  lex 'w' (y) #1",
+                                      "rule r1\n  lex 'w' (y) #2"]
+    code, out, _ = run(capsys, *argv)
+    # each line of a derivation is indented under "derivations:"
+    assert out.endswith("derivations:\n  rule r1\n    lex 'w' (y) #1\n"
+                        "  rule r1\n    lex 'w' (y) #2\n")
+
+
+def test_json_output_does_not_depend_on_the_hash_seed():
+    sentence = "quickly the little prolog program generated the complex sentence"
+    runs = [["generate", "--grammar", GRAMMAR, "--sem", sem, "--derivations",
+             "--format", "json"] for sem in (NP_SEM, SENTENCE_SEM)]
+    # the baseline's budget cuts its search, so its outputs depend on the order
+    # in which rules are tried
+    runs += [["generate", "--algo", "shdg", "--link", link, "--budget", "10000",
+              "--grammar", GRAMMAR, "--sem", NP_SEM, "--format", "json"]
+             for link in ("unify", "substructure")]
+    runs += [["parse", "the complex sentence", "--root", "np", "--grammar", GRAMMAR,
+              "--format", "json"],
+             ["parse", sentence, "--grammar", GRAMMAR, "--format", "json"]]
+    script = ("import json, sys\nfrom skg.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n    main(argv)\n")
+    src = os.path.join(HERE, os.pardir, "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)], env=env,
+                              capture_output=True, text=True, check=True)
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
+    assert outputs[0].count('"derivations"') == 2 and outputs[0].count('"analyses"') == 2
+    assert outputs[0].count('"partial_outputs"') == 2

@@ -1,7 +1,10 @@
-"""The shared search engine: flat search loop, trace cost, baseline cost per step, budgets on cyclic grammars, each derivation once."""
+"""The shared search engine: flat search loop, trace cost, baseline cost per step, budgets on cyclic grammars, each derivation once, rule copies, search tables, no cycles through an Env."""
 
+import gc
+import pathlib
 import random
 import sys
+import weakref
 
 import pytest
 from oracle import random_goal
@@ -144,3 +147,97 @@ def test_each_derivation_comes_once(grammar, np_goal, sentence_goal):
     _derivations_come_once(cyclic, parse_value("[cat: s, sem: [pred: go]]"), 10 ** 3)
     analyses = parse(cyclic, "go", GenConfig(step_budget=5 * 10 ** 3)).analyses
     assert len({format_derivation(d) for _, d in analyses}) == len(analyses) == 624
+
+
+def _count_copies(monkeypatch):
+    """Record the value of every ``Env.instantiate`` call from now on."""
+    copied = []
+    original = Env.instantiate
+
+    def counting(self, value, *args):
+        copied.append(value)
+        return original(self, value, *args)
+
+    monkeypatch.setattr(Env, "instantiate", counting)
+    return copied
+
+
+def test_copies_of_generate_and_parse_are_pinned(grammar, sentence_goal, monkeypatch):
+    # a rule is copied whole only after its corner daughter takes the
+    # pivot; copying it whole before the corner test made 649 copies here
+    copied = _count_copies(monkeypatch)
+    result = generate(grammar, sentence_goal)
+    for surface in sorted(set(result.surfaces)):
+        parse(grammar, surface)
+    assert len(copied) == 375
+
+
+# every rule's corner daughter clashes with the one entry on ``form``
+NO_CORNER = """
+start s.
+rule r1 head 1: [cat: s, sem: S] -> [cat: v, sem: S, form: fin].
+rule r2 head 1: [cat: s, sem: S] -> [cat: v, sem: S, form: inf], [cat: x, sem: S].
+rule r3 head 2: [cat: s, sem: S] -> [cat: x, sem: S], [cat: v, sem: S, form: part].
+lex "go": [cat: v, sem: [pred: go], form: base].
+"""
+
+
+def test_a_corner_that_fails_copies_only_the_corner(monkeypatch):
+    g = load_grammar(NO_CORNER)
+    parts = {id(v) for r in g.rules for v in (r.mother,) + r.daughters}
+    copied = _count_copies(monkeypatch)
+
+    def rule_copies():
+        made = [v for v in copied if id(v) in parts]
+        copied.clear()
+        return made
+
+    r1, r2, r3 = g.rules
+    result = generate(g, parse_value("[cat: s, sem: [pred: go]]"))
+    assert not result.outputs
+    assert rule_copies() == [r1.daughters[0], r2.daughters[0], r3.daughters[1]]
+    assert not parse(g, "go").analyses
+    assert rule_copies() == [r1.daughters[0], r2.daughters[0], r3.daughters[0]]
+    generate_shdg(g, parse_value("[cat: s, sem: [pred: go]]"))
+    assert rule_copies() == [r1.daughters[0], r2.daughters[0], r3.daughters[1]]
+
+
+def test_search_tables_are_built_once_per_grammar(np_goal, monkeypatch):
+    calls = []
+    original = skg.grammar.plan_table
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(skg.grammar, "plan_table", counting)
+    text = (pathlib.Path(__file__).parent.parent / "grammars" / "paper.skg").read_text()
+    for g in (load_grammar(text), load_grammar(text)):
+        before = len(calls)
+        for _ in range(2):
+            generate(g, np_goal)
+            generate_shdg(g, np_goal, UNIFY_LINK, GenConfig(step_budget=10 ** 3))
+            parse(g, "the complex sentence", root_cat="np")
+            assert len(calls) == before + 2  # built by the first search only
+
+
+def test_a_finished_search_frees_its_environment(grammar, np_goal, monkeypatch):
+    # with no reference cycle through an Env, its bindings go when the
+    # search ends, not at some later run of the cycle collector
+    envs = []
+    original = Env.__init__
+
+    def recording(self, *args):
+        original(self, *args)
+        envs.append(weakref.ref(self))
+
+    monkeypatch.setattr(Env, "__init__", recording)
+    gc.collect()
+    gc.disable()
+    try:
+        generate(grammar, np_goal)
+        generate_shdg(grammar, np_goal, UNIFY_LINK, GenConfig(step_budget=10 ** 3))
+        parse(grammar, "the complex sentence", root_cat="np")
+        assert len(envs) > 3 and [ref() for ref in envs if ref() is not None] == []
+    finally:
+        gc.enable()
