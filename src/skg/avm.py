@@ -438,23 +438,24 @@ class Env:
 
 def normalize(value: Value) -> Value:
     """Canonical form: features sorted, variables renamed by visit order."""
-    seen: dict = {}
+    return _normalize(value, {})
 
-    def go(v):
-        if isinstance(v, Var):
-            if v.tag not in seen:
-                seen[v.tag] = Var(f"#{len(seen)}")
-            return seen[v.tag]
-        if isinstance(v, Avm):
-            return Avm(tuple((f, go(x)) for f, x in sorted(v.pairs, key=itemgetter(0))))
-        if isinstance(v, ListVal):
-            tail = go(v.tail) if v.tail is not None else None
-            return ListVal(tuple(go(x) for x in v.items), tail)
-        if isinstance(v, Overlay):
-            return Overlay(go(v.rest), go(v.over))
-        return v
 
-    return go(value)
+def _normalize(v: Value, seen: dict) -> Value:
+    """``normalize``'s walk (not a closure; see ``_copy``); ``seen`` is the renaming."""
+    if isinstance(v, Var):
+        if v.tag not in seen:
+            seen[v.tag] = Var(f"#{len(seen)}")
+        return seen[v.tag]
+    if isinstance(v, Avm):
+        return Avm(tuple((f, _normalize(x, seen))
+                         for f, x in sorted(v.pairs, key=itemgetter(0))))
+    if isinstance(v, ListVal):
+        tail = _normalize(v.tail, seen) if v.tail is not None else None
+        return ListVal(tuple(_normalize(x, seen) for x in v.items), tail)
+    if isinstance(v, Overlay):
+        return Overlay(_normalize(v.rest, seen), _normalize(v.over, seen))
+    return v
 
 
 def unify(a: Value, b: Value) -> Optional[Value]:
@@ -470,45 +471,43 @@ def unify(a: Value, b: Value) -> Optional[Value]:
 
 def subsumes(a: Value, b: Value) -> bool:
     """True iff every piece of information in ``a`` is present in ``b``."""
-    a = normalize(a)
-    b = normalize(b)
-    binding: dict = {}
+    return _match(normalize(a), normalize(b), {})
 
-    def match(x, y) -> bool:
-        if isinstance(x, Var):
-            if x.tag in binding:
-                return binding[x.tag] == y
-            binding[x.tag] = y
-            return True
-        if isinstance(y, Var):
-            return False
-        if isinstance(x, Atom):
-            return isinstance(y, Atom) and x.name == y.name
-        if isinstance(x, Avm):
-            if not isinstance(y, Avm):
-                return False
-            for f, xv in x.pairs:
-                yv = y.get(f)
-                if yv is ABSENT or not match(xv, yv):
-                    return False
-            return True
-        if isinstance(x, ListVal):
-            if not isinstance(y, ListVal):
-                return False
-            if len(x.items) > len(y.items):
-                return False
-            for xv, yv in zip(x.items, y.items):
-                if not match(xv, yv):
-                    return False
-            rest = y.items[len(x.items):]
-            if x.tail is None:
-                return not rest and y.tail is None
-            return match(x.tail, ListVal(rest, y.tail))
-        if isinstance(x, Overlay):
-            return x == y
+
+def _match(x: Value, y: Value, binding: dict) -> bool:
+    """``subsumes``'s walk; ``binding`` maps ``x``'s variables to parts of ``y``."""
+    if isinstance(x, Var):
+        if x.tag in binding:
+            return binding[x.tag] == y
+        binding[x.tag] = y
+        return True
+    if isinstance(y, Var):
         return False
-
-    return match(a, b)
+    if isinstance(x, Atom):
+        return isinstance(y, Atom) and x.name == y.name
+    if isinstance(x, Avm):
+        if not isinstance(y, Avm):
+            return False
+        for f, xv in x.pairs:
+            yv = y.get(f)
+            if yv is ABSENT or not _match(xv, yv, binding):
+                return False
+        return True
+    if isinstance(x, ListVal):
+        if not isinstance(y, ListVal):
+            return False
+        if len(x.items) > len(y.items):
+            return False
+        for xv, yv in zip(x.items, y.items):
+            if not _match(xv, yv, binding):
+                return False
+        rest = y.items[len(x.items):]
+        if x.tail is None:
+            return not rest and y.tail is None
+        return _match(x.tail, ListVal(rest, y.tail), binding)
+    if isinstance(x, Overlay):
+        return x == y
+    return False
 
 
 def equal_modulo_renaming(a: Value, b: Value) -> bool:
@@ -550,28 +549,27 @@ def put(value: Value, path, new: Value) -> Value:
 
 def substructures(value: Value):
     """Every value reachable from the root, normalized, root first."""
-    out = []
-    seen = set()
+    return _visit(value, set(), [])
 
-    def visit(v):
-        n = normalize(v)
-        if n not in seen:
-            seen.add(n)
-            out.append(n)
-        if isinstance(v, Avm):
-            for _, x in v.pairs:
-                visit(x)
-        elif isinstance(v, ListVal):
-            for x in v.items:
-                visit(x)
-            if v.tail is not None:
-                visit(v.tail)
-        elif isinstance(v, Overlay):
-            visit(v.rest)
-            for _, x in v.over.pairs:
-                visit(x)
 
-    visit(value)
+def _visit(v: Value, seen: set, out: list) -> list:
+    """``substructures``' walk: append to ``out`` each normal form not in ``seen``."""
+    n = normalize(v)
+    if n not in seen:
+        seen.add(n)
+        out.append(n)
+    if isinstance(v, Avm):
+        for _, x in v.pairs:
+            _visit(x, seen, out)
+    elif isinstance(v, ListVal):
+        for x in v.items:
+            _visit(x, seen, out)
+        if v.tail is not None:
+            _visit(v.tail, seen, out)
+    elif isinstance(v, Overlay):
+        _visit(v.rest, seen, out)
+        for _, x in v.over.pairs:
+            _visit(x, seen, out)
     return out
 
 
@@ -694,18 +692,19 @@ def _is_var_name(name: str) -> bool:
     return name == "_" or name[0].isupper()
 
 
+def _record(written) -> Avm:
+    """A record from (feature, value, position) triples, in first-written order;
+    a repeated feature merges with its earlier value, a clash is at the later one."""
+    merged: dict = {}
+    for f, v, where in written:
+        merged[f] = _merge_static(merged[f], v, where) if f in merged else v
+    return Avm(tuple(merged.items()))
+
+
 def _merge_static(a: Value, b: Value, where) -> Value:
     """Merge two values written for the same feature in one record."""
     if isinstance(a, Avm) and isinstance(b, Avm):
-        pairs = list(a.pairs)
-        index = {f: i for i, (f, _) in enumerate(pairs)}
-        for f, v in b.pairs:
-            if f in index:
-                pairs[index[f]] = (f, _merge_static(pairs[index[f]][1], v, where))
-            else:
-                index[f] = len(pairs)
-                pairs.append((f, v))
-        return Avm(tuple(pairs))
+        return _record((f, v, where) for f, v in a.pairs + b.pairs)
     if isinstance(a, Var) and isinstance(b, Avm):
         return Overlay(a, b)
     if isinstance(a, Avm) and isinstance(b, Var):
@@ -772,15 +771,7 @@ class _Parser:
                     continue
                 break
         self.stream.expect("punct", "]")
-        pairs: list = []
-        index: dict = {}
-        for f, v, where in collected:
-            if f in index:
-                pairs[index[f]] = (f, _merge_static(pairs[index[f]][1], v, where))
-            else:
-                index[f] = len(pairs)
-                pairs.append((f, v))
-        return Avm(tuple(pairs))
+        return _record(collected)
 
     def feature_path(self):
         path = [self.stream.expect("name")[1]]

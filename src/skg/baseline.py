@@ -67,7 +67,8 @@ def _linked_pivots(mode):
             pivot = env.instantiate(entry.description, {})
             return pivot if _link_pivot(env, mode, pivot, sem_raw) else None
 
-        return search.lexical(search.g.lexicon, goal, goal_cat, pos, attach)
+        return search.lexical(search.g.tables.lexicon.get(goal_cat, ()), goal, pos,
+                              attach)
     return pivots
 
 
@@ -79,8 +80,7 @@ def generate_shdg(grammar: Grammar, goal: Value, mode: str = UNIFY_LINK,
     if mode not in (UNIFY_LINK, SUBSTRUCTURE_LINK):
         raise ValueError(f"unknown link mode {mode!r}")
     cfg = cfg or GenConfig()
-    search = Search(grammar, cfg, grammar.tables.head, grammar.link, None,
-                    _linked_pivots(mode))
+    search = Search(grammar, cfg, grammar.tables.head, _linked_pivots(mode))
     goal_inst = search.env.instantiate(goal, {})
     goal_cat = goal_category(goal_inst, search.env)
     sem_raw = get(goal_inst, ("sem",))

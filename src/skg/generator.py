@@ -64,8 +64,8 @@ def _expansions(env, grammar, goal_cat, sem_raw, sem):
     """The NonSK expansion step for a goal with non-kernel elements.
 
     Yields ``(rule, mother, daughters)`` for each NonSK rule whose mother
-    takes the goal's semantics and whose head daughter carries one
-    non-kernel element fewer (the progress check that keeps generation
+    takes the goal's semantics and whose head daughter has fewer non-kernel
+    elements, counted at every depth (the progress check that keeps generation
     terminating); the bindings last until the next expansion is asked for.
     """
     weight = nonsk_weight(sem, grammar)
@@ -80,7 +80,7 @@ def _expansions(env, grammar, goal_cat, sem_raw, sem):
             env.tick()  # one step for projecting the mother, as in Search.complete
             daughters = [env.instantiate(d, fresh) for d in rule.daughters]
             head_sem = _sem(env, daughters[rule.head_index])
-            if nonsk_weight(head_sem, grammar) == weight - 1:
+            if nonsk_weight(head_sem, grammar) < weight:
                 yield rule, mother, daughters
         env.undo(mark)
 
@@ -121,7 +121,7 @@ def _kernel_pivots(search, goal, goal_cat, pos, ground):
             pivot = env.unify(pivot, Avm((("sem", sem_raw),)))
         return pivot
 
-    return search.lexical(grammar.lexicon, goal, goal_cat, pos, attach)
+    return search.lexical(grammar.tables.lexicon.get(goal_cat, ()), goal, pos, attach)
 
 
 def generate(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> GenResult:
@@ -133,8 +133,7 @@ def generate(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> GenResult:
     derivations, so a surface can come more than once.
     """
     cfg = cfg or GenConfig()
-    search = Search(grammar, cfg, grammar.tables.sk, grammar.link, None,
-                    _kernel_pivots, table={})
+    search = Search(grammar, cfg, grammar.tables.sk, _kernel_pivots, table={})
     outputs = list(islice(distinct_outputs(search, search.env.instantiate(goal, {})),
                           cfg.max_results))
     return GenResult(outputs, search.env.steps, search.exhausted, search.log)

@@ -104,6 +104,7 @@ class Tables(NamedTuple):
     left: dict  # the parser's plans: every rule, by the leftmost daughter
     nonsk: dict  # the NonSK expansion's plans: the NonSK rules, by the head
     entries: dict  # surface -> its lexical entries
+    lexicon: dict  # goal category -> the entries it head-links to, in lexicon order
 
 
 @dataclass
@@ -131,8 +132,9 @@ class Grammar:
         entries = {}
         for e in self.lexicon:
             entries.setdefault(e.surface, []).append(e)
+        linked = {g: [e for e in self.lexicon if (g, e.cat) in self.link] for g in head}
         return Tables(sk, head, plan_table(self.rules, self.left_corner, lambda r: 0),
-                      nonsk, entries)
+                      nonsk, entries, linked)
 
     def rule_by_id(self, rule_id: str) -> Rule:
         for r in self.rules:

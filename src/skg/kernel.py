@@ -80,25 +80,26 @@ def normalize_nonsk(value: Value, grammar: Grammar) -> Value:
     open-tailed non-kernel list (a parse that would accept further
     modifiers) counts as the listed elements only.
     """
-    def go(v):
-        if isinstance(v, Avm):
-            v = Avm(tuple((f, go(x)) for f, x in v.pairs))
-            for path in grammar.nonsk_paths:
-                at = get(v, path)
-                if at is ABSENT:
-                    try:
-                        v = put(v, path, ListVal((), None))
-                    except ValueError:
-                        pass
-                elif isinstance(at, ListVal) and at.tail is not None:
-                    v = put(v, path, ListVal(at.items, None))
-            return v
-        if isinstance(v, ListVal):
-            tail = v.tail
-            return ListVal(tuple(go(x) for x in v.items), tail)
-        return v
+    return normalize(_minimal(value, grammar.nonsk_paths))
 
-    return normalize(go(value))
+
+def _minimal(v: Value, paths) -> Value:
+    """``normalize_nonsk``'s walk (not a closure; see ``skg.avm._copy``)."""
+    if isinstance(v, Avm):
+        v = Avm(tuple((f, _minimal(x, paths)) for f, x in v.pairs))
+        for path in paths:
+            at = get(v, path)
+            if at is ABSENT:
+                try:
+                    v = put(v, path, ListVal((), None))
+                except ValueError:
+                    pass
+            elif isinstance(at, ListVal) and at.tail is not None:
+                v = put(v, path, ListVal(at.items, None))
+        return v
+    if isinstance(v, ListVal):
+        return ListVal(tuple(_minimal(x, paths) for x in v.items), v.tail)
+    return v
 
 
 def lexically_grounded(sem: Value, grammar: Grammar) -> bool:

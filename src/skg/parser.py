@@ -39,12 +39,12 @@ def tokenize_sentence(sentence: str):
     return tuple(t.lower() for t in sentence.split())
 
 
-def _token_pivots(tokens):
-    """Pivots for a goal at a position: the entries for the token there."""
+def _token_pivots(tokens, link):
+    """Pivots for a goal at a position: the token's entries the goal left-links to."""
     def pivots(search, goal, goal_cat, pos, ground):
         entries = search.g.entries_for(tokens[pos]) if pos < len(tokens) else ()
         return search.lexical(
-            entries, goal, goal_cat, pos + 1,
+            [e for e in entries if (goal_cat, e.cat) in link], goal, pos + 1,
             lambda entry: search.env.instantiate(entry.description, {}))
     return pivots
 
@@ -62,8 +62,8 @@ def parse(grammar: Grammar, tokens, cfg: GenConfig = None,
         if not grammar.entries_for(t):
             raise ParseError(f"unknown token {t!r}")
     root_cat = root_cat or grammar.start
-    search = Search(grammar, cfg, grammar.tables.left, left_corner_table(grammar),
-                    None, _token_pivots(tokens))
+    search = Search(grammar, cfg, grammar.tables.left,
+                    _token_pivots(tokens, left_corner_table(grammar)))
     env = search.env
     goal = env.instantiate(Avm((("cat", Atom(root_cat)),)), {})
     analyses = []

@@ -6,9 +6,9 @@ where one head-corner step does both.  A goal is solved by taking
 pivots from a pivot source and completing each bottom-up: a rule whose
 corner daughter unifies with the pivot is applied, its other daughters
 are solved left to right, and its mother becomes the next pivot, until
-a pivot unifies with the goal.  The searches differ only in the
-completion rules, the category link relation, the corner daughter and
-the pivot source.
+a pivot unifies with the goal.  The searches differ only in their plan
+table (which rules a goal category links to, and by which daughter a
+pivot enters each) and their pivot source.
 
 Searches are generators run by one flat loop, :func:`drive`.  A search
 yields a sub-search to pull that sub-search's next solution, and is sent
@@ -35,7 +35,7 @@ from typing import Optional
 
 from .avm import (Atom, BudgetExhausted, Env, Value, get, normalize, render,
                   variables)
-from .grammar import LexEntry, plan_table
+from .grammar import LexEntry
 
 DEFAULT_BUDGET = 10 ** 6
 DONE = object()  # sent to a search when the sub-search it pulled is exhausted
@@ -165,28 +165,24 @@ def drive(search):
 class Search:
     """One head-corner search over a grammar (see the module docstring).
 
-    ``rules`` are the completion rules, or their plan table (``plan_table``);
-    ``link`` holds the (goal category, pivot category) pairs a goal may
-    reach; ``corner(rule)`` is the index of the daughter a pivot unifies
-    with (unused with a table); ``pivots(search, goal, goal_cat, pos,
-    ground)`` returns a search that yields ``(pivot, derivation, end)``
-    triples, where ``pos`` is the parser's input position (``None`` in
-    generation) and ``ground`` marks a resolved goal without variables.
-    Solutions are ``(derivation, end, merged goal)`` triples, read
-    through :meth:`run`.
+    ``plans`` maps a goal category to the ``(rule, corner index, sister
+    indices)`` plans of the rules whose mother it links to (one of the
+    grammar's tables); ``pivots(search, goal, goal_cat, pos, ground)``
+    returns a search that yields ``(pivot, derivation, end)`` triples,
+    where ``pos`` is the parser's input position (``None`` in generation)
+    and ``ground`` marks a resolved goal without variables.  Solutions
+    are ``(derivation, end, merged goal)`` triples, read through
+    :meth:`run`.
 
     With a ``table`` (a dict), the daughters of a rule whose goals have
     no variables left are solved once per search and their solutions
     replayed after that (see :meth:`tabled`).
     """
 
-    def __init__(self, grammar, cfg: GenConfig, rules, link, corner, pivots,
-                 table=None):
+    def __init__(self, grammar, cfg: GenConfig, plans, pivots, table=None):
         self.g = grammar
-        self.link = link
         self.pivots = pivots
-        self.plans = (rules if isinstance(rules, dict)
-                      else plan_table(rules, link, corner))
+        self.plans = plans
         self.env = Env(cfg.step_budget)
         self.tracing = cfg.trace
         self.log = []
@@ -314,16 +310,14 @@ class Search:
         for deriv, end in answers:
             yield deriv, end, resolved
 
-    def lexical(self, entries, goal, goal_cat, end, attach):
-        """Pivots from the lexical entries whose category the goal links to.
+    def lexical(self, entries, goal, end, attach):
+        """Pivots from lexical entries, which the pivot source has linked to the goal.
 
         ``attach(entry)`` returns the instantiated pivot, or None to skip
         the entry; its bindings last until the next entry is tried.
         """
         env = self.env
         for entry in entries:
-            if (goal_cat, entry.cat) not in self.link:
-                continue
             env.tick()
             mark = env.mark()
             pivot = attach(entry)

@@ -76,6 +76,14 @@ def test_parse_repeated_record_features_merge():
     assert get(sem, ("def",)) == Atom("+")
 
 
+def test_repeated_features_keep_first_order_and_report_the_later_one():
+    v = P("[b: [c: y], a: x, b.d: z, b: [c: y]]")
+    assert v == Avm((("b", P("[c: y, d: z]")), ("a", Atom("x"))))
+    with pytest.raises(AvmSyntaxError) as error:
+        P("[a: x,\n b: y,\n a: z]")
+    assert (error.value.line, error.value.column) == (3, 2)
+
+
 def test_parse_errors():
     for bad in ("[a b]", "<a | b>", "[f:", "#", '"unterminated'):
         with pytest.raises(AvmSyntaxError):

@@ -1,9 +1,12 @@
 """Kernel-driven generation tests."""
 
 import pytest
+from oracle import oracle_surfaces
 
 import skg
 from skg import (
+    SUBSTRUCTURE_LINK,
+    UNIFY_LINK,
     GenConfig,
     GenerationError,
     generate,
@@ -12,6 +15,7 @@ from skg import (
     nonsk_weight,
     parse_value,
     render,
+    roundtrip,
 )
 
 
@@ -124,6 +128,57 @@ def test_nonsk_expansions_sentence(grammar, sentence_goal):
     for rule, subgoals in expansions:
         head = subgoals[rule.head_index]
         assert nonsk_weight(get(head, ("sem",)), grammar) == 3
+
+
+# A PP adjunct whose object NP carries its own adjunct: non-kernel
+# elements at depth > 1, which the progress check counts too.
+NESTED = """
+start np.
+nonsk sem.mod.
+rule 1 head 2: [cat: np, sem: N, sem: [def: D]] -> [cat: det, sem: [def: D]], [cat: n2, sem: N].
+rule 2 head 1: [cat: n2, sem: N] -> [cat: n, sem: N].
+rule 3 nonsk head 1: [cat: n2, sem: N, sem: [mod: <M | Mods>]]
+  -> [cat: n2, sem: N, sem: [mod: Mods]], [cat: pp, sem: M].
+rule 4 nonsk head 2: [cat: n2, sem: N, sem: [mod: <M | Mods>]]
+  -> [cat: adj, sem: M], [cat: n2, sem: N, sem: [mod: Mods]].
+rule 5 head 1: [cat: pp, sem: [rel: R, obj: O]]
+  -> [cat: p, sem: [rel: R, obj: O]], [cat: np, sem: O].
+lex "the": [cat: det, sem: [def: +]].
+lex "dog": [cat: n, sem: [rel: dog]].
+lex "park": [cat: n, sem: [rel: park]].
+lex "in": [cat: p, sem: [rel: in]].
+lex "big": [cat: adj, sem: big].
+"""
+IN_THE_BIG_PARK = "[rel: in, obj: [def: +, rel: park, mod: <big>]]"
+
+
+@pytest.mark.parametrize("mods, surface", [
+    (f"<{IN_THE_BIG_PARK}>", "the dog in the big park"),
+    (f"<big, {IN_THE_BIG_PARK}>", "the big dog in the big park"),
+])
+def test_nested_nonkernel_content_generates(mods, surface):
+    g = skg.load_grammar(NESTED)
+    goal = P(f"[cat: np, sem: [def: +, rel: dog, mod: {mods}]]")
+    result = generate(g, goal)
+    assert result.surfaces == [surface]
+    assert {tokens for tokens, _, _ in result.outputs} \
+        == oracle_surfaces(g, goal, len(surface.split()))
+    assert roundtrip(g, goal).ok
+    for mode in (UNIFY_LINK, SUBSTRUCTURE_LINK):
+        baseline = skg.generate_shdg(g, goal, mode, GenConfig(step_budget=10 ** 4))
+        assert baseline.exhausted_budget and not baseline.outputs
+
+
+def test_nested_expansion_makes_progress():
+    # the adjunct leaves the head with its own <big>: the head's weight
+    # falls by two, which a check for a fall of exactly one rejected
+    g = skg.load_grammar(NESTED)
+    goal = P(f"[cat: np, sem: [def: +, rel: dog, mod: <{IN_THE_BIG_PARK}>]]")
+    assert nonsk_weight(get(goal, ("sem",)), g) == 2
+    expansions = nonsk_expansions(g, goal)
+    assert [rule.id for rule, _ in expansions] == ["3", "4"]
+    for rule, subgoals in expansions:
+        assert nonsk_weight(get(subgoals[rule.head_index], ("sem",)), g) == 0
 
 
 def test_nonsk_expansions_requires_nonsk_goal(grammar):

@@ -1,4 +1,4 @@
-"""The shared search engine: flat search loop, trace cost, baseline cost per step, budgets on cyclic grammars, each derivation once, rule copies, search tables, no cycles through an Env."""
+"""The shared search engine: flat search loop, trace cost, baseline cost per step, budgets on cyclic grammars, each derivation once, rule copies, search tables, no reference cycles."""
 
 import gc
 import pathlib
@@ -25,6 +25,7 @@ from skg import (
     load_grammar,
     parse,
     parse_value,
+    roundtrip,
     yield_tokens,
 )
 
@@ -221,6 +222,21 @@ def test_search_tables_are_built_once_per_grammar(np_goal, monkeypatch):
             assert len(calls) == before + 2  # built by the first search only
 
 
+def test_lexical_pivots_come_from_the_tables(grammar, sentence_goal, monkeypatch):
+    # the head-corner link filter on lexical entries is a table row, so
+    # only the parser's left-corner filter reads an entry's category
+    assert [e.surface for e in grammar.tables.lexicon["np"]] == ["sentence", "program"]
+    assert [e.surface for e in grammar.tables.lexicon["s"]] == ["generated"]
+    reads = []
+    original = LexEntry.cat
+    monkeypatch.setattr(LexEntry, "cat",
+                        property(lambda e: reads.append(e) or original.fget(e)))
+    generate(grammar, sentence_goal)
+    assert reads == []  # 80 when the search tested every entry of the lexicon
+    parse(grammar, "the complex sentence", root_cat="np")
+    assert len(reads) == 3
+
+
 def test_a_finished_search_frees_its_environment(grammar, np_goal, monkeypatch):
     # with no reference cycle through an Env, its bindings go when the
     # search ends, not at some later run of the cycle collector
@@ -239,5 +255,23 @@ def test_a_finished_search_frees_its_environment(grammar, np_goal, monkeypatch):
         generate_shdg(grammar, np_goal, UNIFY_LINK, GenConfig(step_budget=10 ** 3))
         parse(grammar, "the complex sentence", root_cat="np")
         assert len(envs) > 3 and [ref() for ref in envs if ref() is not None] == []
+    finally:
+        gc.enable()
+
+
+def test_value_walks_leave_no_cycles(grammar, np_goal, sentence_goal):
+    # normalize, subsumes, substructures and normalize_nonsk recurse
+    # through module-level helpers; a recursive closure is a reference
+    # cycle per call, which only the cycle collector frees
+    def calls():
+        roundtrip(grammar, sentence_goal)
+        generate_shdg(grammar, np_goal, SUBSTRUCTURE_LINK, GenConfig(step_budget=10 ** 3))
+
+    calls()
+    gc.collect()
+    gc.disable()
+    try:
+        calls()
+        assert gc.collect() == 0
     finally:
         gc.enable()

@@ -23,7 +23,6 @@ from skg import (
     parse_value,
 )
 from skg.generator import _kernel_pivots
-from skg.grammar import SK
 from skg.search import Search, distinct_outputs
 
 LADDER = ("[cat: s, sem: [mod: <{}>, pred: generate,"
@@ -37,10 +36,7 @@ def ladder_goal(k):
 
 def untabled(grammar, goal):
     """Outputs of a plain search with the same four settings as ``generate``."""
-    search = Search(grammar, GenConfig(),
-                    [r for r in grammar.rules if r.sk_class == SK],
-                    grammar.link, lambda rule: rule.head_index,
-                    _kernel_pivots)
+    search = Search(grammar, GenConfig(), grammar.tables.sk, _kernel_pivots)
     assert search.table is None
     return list(distinct_outputs(search, search.env.instantiate(goal, {})))
 
