@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 
 from .avm import ABSENT, Value, get, substructures
 from .grammar import Grammar
-from .search import GenConfig, GenResult, Search, distinct_outputs, goal_category
+from .search import (GenConfig, GenResult, Search, check_goal, distinct_outputs,
+                     goal_category)
 
 UNIFY_LINK = "unify"
 SUBSTRUCTURE_LINK = "substructure"
@@ -59,7 +60,7 @@ def _link_pivot(env, mode, pivot, sem_raw) -> bool:
 
 
 def _linked_pivots(mode):
-    def pivots(search, goal, goal_cat, pos, ground):
+    def pivots(search, goal, goal_cat, pos):
         env = search.env
         sem_raw = get(goal, ("sem",))
 
@@ -79,6 +80,7 @@ def generate_shdg(grammar: Grammar, goal: Value, mode: str = UNIFY_LINK,
 
     if mode not in (UNIFY_LINK, SUBSTRUCTURE_LINK):
         raise ValueError(f"unknown link mode {mode!r}")
+    check_goal(goal, grammar)
     cfg = cfg or GenConfig()
     search = Search(grammar, cfg, grammar.tables.head, _linked_pivots(mode))
     goal_inst = search.env.instantiate(goal, {})

@@ -1,5 +1,7 @@
 """Command-line interface.
 
+Each ``cmd_*`` returns its JSON payload, its text lines and its exit
+status; :func:`main` prints one of the first two and returns the third.
 Exit codes: 0 success, 1 check/generation failure, 2 step budget
 exhausted, 3 malformed input (command line, grammar, semantics, goal,
 unknown token).
@@ -17,7 +19,8 @@ from .generator import generate, nonsk_expansions, nonsk_weight
 from .grammar import GrammarError, load_grammar
 from .kernel import decompose, is_sk, lexically_grounded
 from .parser import ParseError, parse, roundtrip
-from .search import GenConfig, GenerationError, default_budget, format_derivation
+from .search import (GenConfig, GenerationError, check_goal, default_budget,
+                     format_derivation)
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -44,18 +47,19 @@ def _load_grammar(path: str):
         raise InputError(f"bad grammar: {exc}") from exc
 
 
-def _load_goal(path: str, root: str, grammar):
+def _load_goal(args):
+    """The grammar and the goal; a goal without ``cat`` is a bare ``sem``."""
+    grammar = _load_grammar(args.grammar)
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(args.sem, encoding="utf-8") as handle:
             value = parse_value(handle.read())
     except OSError as exc:
         raise InputError(f"cannot read semantics: {exc}") from exc
     except AvmSyntaxError as exc:
         raise InputError(f"bad semantics: {exc}") from exc
     if isinstance(value, Avm) and get(value, ("cat",)) is not ABSENT:
-        return value
-    cat = root or grammar.start
-    return Avm((("cat", Atom(cat)), ("sem", value)))
+        return grammar, value
+    return grammar, Avm((("cat", Atom(args.root or grammar.start)), ("sem", value)))
 
 
 def _config(args) -> GenConfig:
@@ -66,44 +70,23 @@ def _config(args) -> GenConfig:
         raise InputError(str(exc)) from exc
 
 
-def _emit(args, payload: dict, lines):
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+def _status(exhausted, ok) -> int:
+    return EXIT_BUDGET if exhausted else EXIT_OK if ok else EXIT_FAIL
 
 
-def _gen_report(args, result, label):
+def _outputs(label, result):
+    """The report of one generator's outputs, shared by ``generate`` and ``compare``."""
     surfaces = sorted(set(result.surfaces))
-    payload = {
-        "algorithm": label,
-        "outputs": surfaces,
-        "steps": result.steps_used,
-        "budget_exhausted": result.exhausted_budget,
-    }
+    payload = {"outputs": surfaces, "steps": result.steps_used,
+               "budget_exhausted": result.exhausted_budget}
     lines = [f"{label}: {len(surfaces)} output(s), {result.steps_used} step(s)"]
-    lines += [f"  {s}" for s in surfaces]
-    if args.derivations:
-        derivs = sorted(format_derivation(d) for _, d, _ in result.outputs)
-        payload["derivations"] = derivs
-        lines += ["derivations:"] + ["  " + d.replace("\n", "\n  ") for d in derivs]
-    partial = getattr(result, "partial_outputs", None)
-    if partial is not None:
-        flagged = sorted(
-            (" ".join(t), list(f)) for t, _, _, f in partial
-        )
-        payload["partial_outputs"] = [
-            {"surface": s, "failures": f} for s, f in flagged
-        ]
-        lines.append(f"flagged: {len(flagged)} output(s)")
-        lines += [f"  {s}  [{', '.join(f)}]" for s, f in flagged]
-    if result.exhausted_budget:
-        lines.append("budget exhausted")
-    if args.trace:
-        payload["trace"] = list(result.trace_log)
-        lines += ["trace:"] + [f"  {t}" for t in result.trace_log]
-    return payload, lines
+    return payload, lines + [f"  {s}" for s in surfaces]
+
+
+def _derivations(payload, lines, derivations):
+    derivs = sorted(format_derivation(d) for d in derivations)
+    payload["derivations"] = derivs
+    lines += ["derivations:"] + ["  " + d.replace("\n", "\n  ") for d in derivs]
 
 
 def cmd_check(args):
@@ -111,6 +94,7 @@ def cmd_check(args):
     rows = [(r.id, r.sk_class, r.mother_cat,
              [r.daughter_cat(i) for i in range(len(r.daughters))])
             for r in grammar.rules]
+    warnings = [] if grammar.nonsk_paths else ["no non-kernel paths declared"]
     payload = {
         "start": grammar.start,
         "nonsk_paths": [".".join(("sem",) + p) for p in grammar.nonsk_paths],
@@ -119,42 +103,42 @@ def cmd_check(args):
             for i, c, m, d in rows
         ],
         "lexicon": sorted({e.surface for e in grammar.lexicon}),
-        "warnings": [],
+        "warnings": warnings,
     }
     lines = [f"start: {grammar.start}",
              "nonsk paths: " + (", ".join(payload["nonsk_paths"]) or "(none)")]
-    for i, c, m, d in rows:
-        lines.append(f"rule {i}: {c}  {m} -> {', '.join(d)}")
+    lines += [f"rule {i}: {c}  {m} -> {', '.join(d)}" for i, c, m, d in rows]
     lines.append(f"lexicon: {len(grammar.lexicon)} entries")
-    if not grammar.nonsk_paths:
-        payload["warnings"].append("no non-kernel paths declared")
-        lines.append("warning: no non-kernel paths declared")
-    _emit(args, payload, lines)
-    return EXIT_OK
+    return payload, lines + [f"warning: {w}" for w in warnings], EXIT_OK
 
 
 def cmd_generate(args):
-    grammar = _load_grammar(args.grammar)
-    goal = _load_goal(args.sem, args.root, grammar)
+    grammar, goal = _load_goal(args)
     cfg = _config(args)
     if args.algo == "skg":
-        result = generate(grammar, goal, cfg)
-        label = "skg"
+        label, result = "skg", generate(grammar, goal, cfg)
     else:
-        mode = UNIFY_LINK if args.link == "unify" else SUBSTRUCTURE_LINK
-        result = generate_shdg(grammar, goal, mode, cfg)
-        label = f"shdg/{args.link}"
-    payload, lines = _gen_report(args, result, label)
-    _emit(args, payload, lines)
+        label, result = f"shdg/{args.link}", generate_shdg(grammar, goal, args.link, cfg)
+    payload, lines = _outputs(label, result)
+    payload["algorithm"] = label
+    if args.derivations:
+        _derivations(payload, lines, (d for _, d, _ in result.outputs))
+    if args.algo == "shdg":
+        flagged = sorted((" ".join(t), list(f)) for t, _, _, f in result.partial_outputs)
+        payload["partial_outputs"] = [{"surface": s, "failures": f} for s, f in flagged]
+        lines.append(f"flagged: {len(flagged)} output(s)")
+        lines += [f"  {s}  [{', '.join(f)}]" for s, f in flagged]
     if result.exhausted_budget:
-        return EXIT_BUDGET
-    return EXIT_OK if result.outputs else EXIT_FAIL
+        lines.append("budget exhausted")
+    if args.trace:
+        payload["trace"] = list(result.trace_log)
+        lines += ["trace:"] + [f"  {t}" for t in result.trace_log]
+    return payload, lines, _status(result.exhausted_budget, result.outputs)
 
 
 def cmd_parse(args):
     grammar = _load_grammar(args.grammar)
-    cfg = _config(args)
-    result = parse(grammar, args.sentence, cfg, root_cat=args.root)
+    result = parse(grammar, args.sentence, _config(args), root_cat=args.root)
     sems = sorted(render(s) for s, _ in result.analyses if s is not ABSENT)
     payload = {
         "analyses": sems,
@@ -163,18 +147,12 @@ def cmd_parse(args):
     }
     lines = [f"{len(result.analyses)} analysis/analyses"] + [f"  {s}" for s in sems]
     if args.derivations:
-        derivs = sorted(format_derivation(d) for _, d in result.analyses)
-        payload["derivations"] = derivs
-        lines += ["derivations:"] + ["  " + d.replace("\n", "\n  ") for d in derivs]
-    _emit(args, payload, lines)
-    if result.exhausted_budget:
-        return EXIT_BUDGET
-    return EXIT_OK if result.analyses else EXIT_FAIL
+        _derivations(payload, lines, (d for _, d in result.analyses))
+    return payload, lines, _status(result.exhausted_budget, result.analyses)
 
 
 def cmd_roundtrip(args):
-    grammar = _load_grammar(args.grammar)
-    goal = _load_goal(args.sem, args.root, grammar)
+    grammar, goal = _load_goal(args)
     report = roundtrip(grammar, goal, _config(args))
     payload = {
         "ok": report.ok,
@@ -192,87 +170,87 @@ def cmd_roundtrip(args):
         if not k:
             marks.append("incomplete")
         lines.append(f"  {s}" + (f"  [{', '.join(marks)}]" if marks else ""))
-    _emit(args, payload, lines)
-    if report.reason == "budget-exhausted":
-        return EXIT_BUDGET
-    return EXIT_OK if report.ok else EXIT_FAIL
+    return payload, lines, _status(report.reason == "budget-exhausted", report.ok)
 
 
 def cmd_compare(args):
-    grammar = _load_grammar(args.grammar)
-    goal = _load_goal(args.sem, args.root, grammar)
+    grammar, goal = _load_goal(args)
     cfg = _config(args)
-    skg_result = generate(grammar, goal, cfg)
-    mode = UNIFY_LINK if args.link == "unify" else SUBSTRUCTURE_LINK
-    shdg_result = generate_shdg(grammar, goal, mode, cfg)
-    skg_set = sorted(set(skg_result.surfaces))
-    shdg_set = sorted(set(shdg_result.surfaces))
-    agree = (skg_set == shdg_set
-             and not skg_result.exhausted_budget
-             and not shdg_result.exhausted_budget)
-    payload = {
-        "skg": {"outputs": skg_set, "steps": skg_result.steps_used,
-                "budget_exhausted": skg_result.exhausted_budget},
-        "shdg": {"outputs": shdg_set, "steps": shdg_result.steps_used,
-                 "budget_exhausted": shdg_result.exhausted_budget,
-                 "link": args.link},
-        "agree": agree,
-    }
-    lines = [f"skg: {len(skg_set)} output(s), {skg_result.steps_used} step(s)"
-             + (" [budget exhausted]" if skg_result.exhausted_budget else "")]
-    lines += [f"  {s}" for s in skg_set]
-    lines.append(f"shdg/{args.link}: {len(shdg_set)} output(s), "
-                 f"{shdg_result.steps_used} step(s)"
-                 + (" [budget exhausted]" if shdg_result.exhausted_budget else ""))
-    lines += [f"  {s}" for s in shdg_set]
-    lines.append("agree" if agree else "DISAGREE")
-    _emit(args, payload, lines)
-    if skg_result.exhausted_budget or shdg_result.exhausted_budget:
-        return EXIT_BUDGET
-    return EXIT_OK if agree else EXIT_FAIL
+    payload, lines = {}, []
+    for key, label, result in (
+            ("skg", "skg", generate(grammar, goal, cfg)),
+            ("shdg", f"shdg/{args.link}", generate_shdg(grammar, goal, args.link, cfg))):
+        payload[key], report = _outputs(label, result)
+        if result.exhausted_budget:
+            report[0] += " [budget exhausted]"
+        lines += report
+    payload["shdg"]["link"] = args.link
+    exhausted = payload["skg"]["budget_exhausted"] or payload["shdg"]["budget_exhausted"]
+    agree = payload["skg"]["outputs"] == payload["shdg"]["outputs"] and not exhausted
+    payload["agree"] = agree
+    return payload, lines + ["agree" if agree else "DISAGREE"], _status(exhausted, agree)
 
 
 def cmd_analyze(args):
-    grammar = _load_grammar(args.grammar)
-    goal = _load_goal(args.sem, args.root, grammar)
+    grammar, goal = _load_goal(args)
+    check_goal(goal, grammar)
     sem = get(goal, ("sem",))
     if sem is ABSENT:
         raise InputError("goal has no sem feature")
     sem = normalize(sem)
-    kernelic = is_sk(sem, grammar)
-    weight = nonsk_weight(sem, grammar)
     payload = {
-        "is_sk": kernelic,
-        "nonsk_weight": weight,
+        "is_sk": is_sk(sem, grammar),
+        "nonsk_weight": nonsk_weight(sem, grammar),
         "lexically_grounded": lexically_grounded(sem, grammar),
     }
-    lines = [f"is_sk: {kernelic}",
-             f"nonsk_weight: {weight}",
-             f"lexically_grounded: {payload['lexically_grounded']}"]
+    lines = [f"{k}: {payload[k]}" for k in ("is_sk", "nonsk_weight", "lexically_grounded")]
     if isinstance(sem, Avm):
-        try:
-            dec = decompose(sem, grammar)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
+        dec = decompose(sem, grammar)
         payload["kernel"] = render(dec.kernel)
         payload["nonsk_items"] = [
             {"path": ".".join(("sem",) + p), "item": render(v)}
             for p, v in dec.nonsk_items
         ]
         lines.append(f"kernel: {payload['kernel']}")
-        for entry in payload["nonsk_items"]:
-            lines.append(f"  {entry['path']}: {entry['item']}")
-    if not kernelic:
-        expansions = nonsk_expansions(grammar, goal)
+        lines += [f"  {e['path']}: {e['item']}" for e in payload["nonsk_items"]]
+    if not payload["is_sk"]:
         payload["expansions"] = [
             {"rule": rule.id, "subgoals": [render(s) for s in subs]}
-            for rule, subs in expansions
+            for rule, subs in nonsk_expansions(grammar, goal)
         ]
-        lines.append(f"expansions: {len(expansions)}")
-        for e in payload["expansions"]:
-            lines.append(f"  rule {e['rule']}: " + " ; ".join(e["subgoals"]))
-    _emit(args, payload, lines)
-    return EXIT_OK
+        lines.append(f"expansions: {len(payload['expansions'])}")
+        lines += [f"  rule {e['rule']}: " + " ; ".join(e["subgoals"])
+                  for e in payload["expansions"]]
+    return payload, lines, EXIT_OK
+
+
+_FLAGS = {
+    "sentence": dict(help="sentence to parse"),
+    "--grammar": dict(required=True, help="grammar file"),
+    "--sem": dict(required=True, help="goal semantics file"),
+    "--budget": dict(type=int, default=None,
+                     help="step budget (default: SKG_BUDGET or 10^6)"),
+    "--root": dict(default=None, help="root category"),
+    "--format": dict(choices=("text", "json"), default="text"),
+    "--trace": dict(action="store_true"),
+    "--algo": dict(choices=("skg", "shdg"), default="skg"),
+    "--link": dict(choices=(UNIFY_LINK, SUBSTRUCTURE_LINK), default=UNIFY_LINK),
+    "--derivations": dict(action="store_true"),
+}
+
+_GOAL = "--grammar --sem --budget --root --format"
+_COMMANDS = (
+    ("check", cmd_check, "load and validate a grammar", "--grammar --format"),
+    ("generate", cmd_generate, "generate strings from semantics",
+     _GOAL + " --trace --algo --link --derivations"),
+    ("parse", cmd_parse, "parse a sentence",
+     "sentence --grammar --budget --root --derivations --format"),
+    ("roundtrip", cmd_roundtrip, "generate, then re-parse each output", _GOAL),
+    ("compare", cmd_compare, "compare kernel-driven and baseline output",
+     _GOAL + " --link"),
+    ("analyze", cmd_analyze, "kernel analysis of a goal",
+     "--grammar --sem --root --format"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -280,61 +258,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="skg",
         description="Generation and parsing with feature-structure grammars.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def common(p, budget=True):
-        p.add_argument("--grammar", required=True, help="grammar file")
-        p.add_argument("--sem", required=True, help="goal semantics file")
-        if budget:
-            p.add_argument("--budget", type=int, default=None,
-                           help="step budget (default: SKG_BUDGET or 10^6)")
-        p.add_argument("--root", default=None, help="root category")
-        p.add_argument("--format", choices=("text", "json"), default="text")
-
-    p = sub.add_parser("check", help="load and validate a grammar")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_check)
-
-    p = sub.add_parser("generate", help="generate strings from semantics")
-    common(p)
-    p.add_argument("--trace", action="store_true")
-    p.add_argument("--algo", choices=("skg", "shdg"), default="skg")
-    p.add_argument("--link", choices=("unify", "substructure"), default="unify")
-    p.add_argument("--derivations", action="store_true")
-    p.set_defaults(func=cmd_generate)
-
-    p = sub.add_parser("parse", help="parse a sentence")
-    p.add_argument("sentence", help="sentence to parse")
-    p.add_argument("--grammar", required=True)
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--root", default=None)
-    p.add_argument("--derivations", action="store_true")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_parse)
-
-    p = sub.add_parser("roundtrip", help="generate, then re-parse each output")
-    common(p)
-    p.set_defaults(func=cmd_roundtrip)
-
-    p = sub.add_parser("compare", help="compare kernel-driven and baseline output")
-    common(p)
-    p.add_argument("--link", choices=("unify", "substructure"), default="unify")
-    p.set_defaults(func=cmd_compare)
-
-    p = sub.add_parser("analyze", help="kernel analysis of a goal")
-    common(p, budget=False)
-    p.set_defaults(func=cmd_analyze)
-
+    for name, func, summary, flags in _COMMANDS:
+        p = sub.add_parser(name, help=summary)
+        for flag in flags.split():
+            p.add_argument(flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return top
 
 
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        payload, lines, status = args.func(args)
     except (InputError, GenerationError, ParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    if args.format == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        for line in lines:
+            print(line)
+    return status
 
 
 if __name__ == "__main__":

@@ -32,6 +32,7 @@ from .search import (
     GenResult,
     Node,
     Search,
+    check_goal,
     distinct_outputs,
     goal_category,
 )
@@ -96,17 +97,17 @@ def _expansion_pivots(search, goal, goal_cat, sem_raw, sem, pos):
             yield mother, Node(rule.id, found[0]), found[1]
 
 
-def _kernel_pivots(search, goal, goal_cat, pos, ground):
+def _kernel_pivots(search, goal, goal_cat, pos):
     """NonSK expansions for a non-kernel goal, else kernel-checked entries."""
     env, grammar = search.env, search.g
     sem_raw = get(goal, ("sem",))
-    sem = sem_raw if ground else _sem(env, goal)  # a tabled goal comes resolved
+    sem = _sem(env, goal)
     if sem is not ABSENT and not is_sk(sem, grammar):
         return _expansion_pivots(search, goal, goal_cat, sem_raw, sem, pos)
     # The kernel filter is a prune; with unbound variables in the goal (a
     # sister instantiated before its bindings arrive) it would reject
     # sound pivots, so it defers to unification in that case.
-    ground = sem is not ABSENT and (ground or next(variables(sem), None) is None)
+    ground = sem is not ABSENT and next(variables(sem), None) is None
     kernel = decompose(sem, grammar) if ground else None
 
     def attach(entry):
@@ -132,6 +133,7 @@ def generate(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> GenResult:
     same surface and category but different descriptions) give distinct
     derivations, so a surface can come more than once.
     """
+    check_goal(goal, grammar)
     cfg = cfg or GenConfig()
     search = Search(grammar, cfg, grammar.tables.sk, _kernel_pivots, table={})
     outputs = list(islice(distinct_outputs(search, search.env.instantiate(goal, {})),
@@ -141,6 +143,7 @@ def generate(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> GenResult:
 
 def nonsk_expansions(grammar: Grammar, goal: Value):
     """Top-down expansions of a non-kernel goal: (rule, subgoals) pairs."""
+    check_goal(goal, grammar)
     env = Env()
     goal = env.instantiate(goal, {})
     goal_cat = goal_category(goal, env)

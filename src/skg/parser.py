@@ -41,7 +41,7 @@ def tokenize_sentence(sentence: str):
 
 def _token_pivots(tokens, link):
     """Pivots for a goal at a position: the token's entries the goal left-links to."""
-    def pivots(search, goal, goal_cat, pos, ground):
+    def pivots(search, goal, goal_cat, pos):
         entries = search.g.entries_for(tokens[pos]) if pos < len(tokens) else ()
         return search.lexical(
             [e for e in entries if (goal_cat, e.cat) in link], goal, pos + 1,
@@ -146,8 +146,8 @@ def roundtrip(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> RoundTrip
             continue
         checked.add(tokens)
         failures = check_output(grammar, tokens, root_cat, input_sem, cfg)
-        coherent = "incoherent" not in failures and "no-parse" not in failures
-        complete = "incomplete" not in failures and "no-parse" not in failures
+        coherent = not {"incoherent", "no-parse"}.intersection(failures)
+        complete = not {"incomplete", "no-parse", "no-semantics"}.intersection(failures)
         entries.append((" ".join(tokens), coherent, complete))
-        ok = ok and coherent and complete
+        ok = ok and not failures
     return RoundTripReport(ok, "pass" if ok else "check-failed", entries, result)

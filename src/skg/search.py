@@ -33,8 +33,8 @@ from dataclasses import dataclass, field
 from types import GeneratorType
 from typing import Optional
 
-from .avm import (Atom, BudgetExhausted, Env, Value, get, normalize, render,
-                  variables)
+from .avm import (ABSENT, Atom, Avm, BudgetExhausted, Env, ListVal, Overlay, Value,
+                  get, normalize, render, variables)
 from .grammar import LexEntry
 
 DEFAULT_BUDGET = 10 ** 6
@@ -135,6 +135,29 @@ def goal_category(goal: Value, env: Env) -> str:
     return cat.name
 
 
+def check_goal(goal: Value, grammar) -> None:
+    """Raise ``GenerationError`` for an overlay anywhere in the goal (only rules
+    may share a record that way), or for a value other than a list at a
+    non-kernel path of any record in its ``sem``."""
+    stack = [((), goal)]
+    while stack:
+        path, value = stack.pop()
+        if isinstance(value, Overlay):
+            raise GenerationError(
+                f"goal repeats feature {'.'.join(path)} with a variable")
+        if isinstance(value, Avm):
+            if path[:1] == ("sem",):
+                for nonsk in grammar.nonsk_paths:
+                    at = get(value, nonsk)
+                    if at is not ABSENT and not isinstance(at, ListVal):
+                        where = ".".join(path[1:] + nonsk)
+                        raise GenerationError(
+                            f"non-kernel path {where} holds a non-list value")
+            stack.extend((path + (f,), v) for f, v in reversed(value.pairs))
+        elif isinstance(value, ListVal):
+            stack.extend((path, v) for v in value.items)
+
+
 def drive(search):
     """Iterate the solutions of a search, running sub-searches on a flat stack."""
     stack = [search]
@@ -167,10 +190,9 @@ class Search:
 
     ``plans`` maps a goal category to the ``(rule, corner index, sister
     indices)`` plans of the rules whose mother it links to (one of the
-    grammar's tables); ``pivots(search, goal, goal_cat, pos, ground)``
-    returns a search that yields ``(pivot, derivation, end)`` triples,
-    where ``pos`` is the parser's input position (``None`` in generation)
-    and ``ground`` marks a resolved goal without variables.  Solutions
+    grammar's tables); ``pivots(search, goal, goal_cat, pos)`` returns a
+    search that yields ``(pivot, derivation, end)`` triples, where ``pos``
+    is the parser's input position (``None`` in generation).  Solutions
     are ``(derivation, end, merged goal)`` triples, read through
     :meth:`run`.
 
@@ -203,9 +225,9 @@ class Search:
         except BudgetExhausted:
             self.exhausted = True
 
-    def solve(self, goal: Value, pos=None, ground=False):
+    def solve(self, goal: Value, pos=None):
         goal_cat = goal_category(goal, self.env)
-        source = self.pivots(self, goal, goal_cat, pos, ground)
+        source = self.pivots(self, goal, goal_cat, pos)
         while (found := (yield source)) is not DONE:
             pivot, deriv, end = found
             up = self.complete(pivot, deriv, end, goal, goal_cat)
@@ -297,7 +319,7 @@ class Search:
         answers = []
         exact = True
         want = normalize(resolved)
-        sub = self.solve(resolved, pos, ground=True)
+        sub = self.solve(resolved, pos)
         while (found := (yield sub)) is not DONE:
             answers.append(found[:2])
             exact = exact and normalize(self.env.resolve(found[2])) == want

@@ -218,6 +218,32 @@ def test_json_output_is_deterministic(capsys):
     (["compare", "--grammar", GRAMMAR, "--sem", NP_SEM, "--trace"], None),
     (["analyze", "--grammar", GRAMMAR, "--sem", NP_SEM, "--trace"], None),
     (["analyze", "--grammar", GRAMMAR, "--sem", NP_SEM, "--budget", "0"], None),
+    # a feature written as a variable and as a record (an overlay, which only
+    # a rule may hold), at the top of sem or nested in it
+    (["generate", "--grammar", GRAMMAR, "--sem", "GOAL"],
+     "[cat: np, sem: X, sem: [mod: <complex>, rel: sentence, def: +]]"),
+    (["generate", "--algo", "shdg", "--budget", "1000", "--grammar", GRAMMAR,
+      "--sem", "GOAL"], "[cat: np, sem: X, sem: [mod: <complex>, rel: sentence, def: +]]"),
+    (["roundtrip", "--grammar", GRAMMAR, "--sem", "GOAL"],
+     "[cat: np, sem: X, sem: [mod: <complex>, rel: sentence, def: +]]"),
+    (["compare", "--grammar", GRAMMAR, "--sem", "GOAL"],
+     "[cat: np, sem: X, sem: [mod: <complex>, rel: sentence, def: +]]"),
+    (["analyze", "--grammar", GRAMMAR, "--sem", "GOAL"],
+     "[cat: np, sem: X, sem: [mod: <complex>, rel: sentence, def: +]]"),
+    (["generate", "--grammar", GRAMMAR, "--sem", "GOAL"],
+     "[cat: s, sem: [mod: <quick>, pred: generate, arg1: X,"
+     " arg1: [def: +, mod: <little, prolog>, rel: program],"
+     " arg2: [def: +, mod: <complex>, rel: sentence]]]"),
+    # a value other than a list at a non-kernel path, at the top of sem or nested
+    (["generate", "--grammar", GRAMMAR, "--sem", "GOAL"],
+     "[cat: np, sem: [rel: sentence, def: +, mod: complex]]"),
+    (["roundtrip", "--grammar", GRAMMAR, "--sem", "GOAL"],
+     "[cat: np, sem: [rel: sentence, def: +, mod: complex]]"),
+    (["compare", "--grammar", GRAMMAR, "--sem", "GOAL"],
+     "[cat: np, sem: [rel: sentence, def: +, mod: complex]]"),
+    (["analyze", "--grammar", GRAMMAR, "--sem", "GOAL"],
+     "[cat: s, sem: [mod: <>, pred: generate, arg1: [def: +, mod: <>, rel: program],"
+     " arg2: [def: +, mod: complex, rel: sentence]]]"),
 ])
 def test_malformed_input_exits_3_with_one_error_line(capsys, tmp_path, argv, goal):
     if goal is not None:
@@ -313,6 +339,96 @@ def test_homograph_derivations_print_apart(capsys, tmp_path):
                         "  rule r1\n    lex 'w' (y) #2\n")
 
 
+def test_parse_derivations(capsys):
+    argv = ["parse", "the complex sentence", "--root", "np", "--grammar", GRAMMAR,
+            "--derivations"]
+    tree = ("rule 6\n  lex 'the' (det)\n  rule 8\n    lex 'complex' (adj)\n"
+            "    rule 7\n      lex 'sentence' (n)")
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == EXIT_OK
+    assert payload["derivations"] == [tree]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    assert out == ("1 analysis/analyses\n  [def: +, mod: <complex | #0>, rel: sentence]\n"
+                   "derivations:\n  " + tree.replace("\n", "\n  ") + "\n")
+
+
+def test_roundtrip_flags_an_incomplete_output(capsys, tmp_path):
+    sem = tmp_path / "goal.sem"
+    sem.write_text("[cat: np, sem: [rel: sentence, def: +, mod: <>, x: b]]")
+    argv = ["roundtrip", "--grammar", GRAMMAR, "--sem", str(sem)]
+    code, out, _ = run(capsys, *argv)
+    assert code == EXIT_FAIL
+    assert out == "roundtrip: FAIL (check-failed)\n  the sentence  [incomplete]\n"
+    code, payload, _ = run_json(capsys, *argv)
+    assert code == EXIT_FAIL
+    assert payload["outputs"] == [
+        {"surface": "the sentence", "coherent": True, "complete": False}]
+
+
+def test_roundtrip_budget_exhausted(capsys):
+    code, out, _ = run(capsys, "roundtrip", "--grammar", GRAMMAR, "--sem", NP_SEM,
+                       "--budget", "5")
+    assert code == EXIT_BUDGET
+    assert out == "roundtrip: FAIL (budget-exhausted)\n"
+
+
+def test_compare_agrees(capsys, tmp_path):
+    grammar = tmp_path / "homographs.skg"
+    grammar.write_text(HOMOGRAPHS)
+    sem = tmp_path / "w.sem"
+    sem.write_text("[cat: x, sem: [rel: w]]")
+    code, out, _ = run(capsys, "compare", "--grammar", str(grammar), "--sem", str(sem))
+    assert code == EXIT_OK
+    assert out.endswith("\nagree\n")
+
+
+def test_analyze_goal_without_sem_exits_3(capsys, tmp_path):
+    sem = tmp_path / "goal.sem"
+    sem.write_text("[cat: np]")
+    code, out, err = run(capsys, "analyze", "--grammar", GRAMMAR, "--sem", str(sem))
+    assert code == EXIT_INPUT
+    assert err == "error: goal has no sem feature\n" and out == ""
+
+
+def test_check_warns_without_nonsk_paths(capsys, tmp_path):
+    grammar = tmp_path / "homographs.skg"
+    grammar.write_text(HOMOGRAPHS)
+    code, out, _ = run(capsys, "check", "--grammar", str(grammar))
+    assert code == EXIT_OK
+    assert out.endswith("nonsk paths: (none)\nrule r1: SK  x -> y\nlexicon: 2 entries\n"
+                        "warning: no non-kernel paths declared\n")
+    code, payload, _ = run_json(capsys, "check", "--grammar", str(grammar))
+    assert payload["warnings"] == ["no non-kernel paths declared"]
+
+
+def test_missing_semantics_file(capsys):
+    code, out, err = run(capsys, "generate", "--grammar", GRAMMAR, "--sem", "/no/such.sem")
+    assert code == EXIT_INPUT
+    assert err.startswith("error: cannot read semantics: ") and err.count("\n") == 1
+    assert out == ""
+
+
+NO_SEMANTICS = """
+start s. nonsk sem.mod.
+rule r head 1: [cat: s] -> [cat: w].
+lex "w": [cat: w].
+"""
+
+
+def test_roundtrip_fails_an_output_whose_parse_has_no_semantics(capsys, tmp_path):
+    grammar = tmp_path / "nosem.skg"
+    grammar.write_text(NO_SEMANTICS)
+    sem = tmp_path / "x.sem"
+    sem.write_text("[cat: s, sem: [rel: x]]")
+    code, out, _ = run(capsys, "roundtrip", "--grammar", str(grammar), "--sem", str(sem))
+    assert code == EXIT_FAIL
+    assert out == "roundtrip: FAIL (check-failed)\n  w  [incomplete]\n"
+    code, payload, _ = run_json(capsys, "generate", "--algo", "shdg", "--budget", "1000",
+                                "--grammar", str(grammar), "--sem", str(sem))
+    assert payload["partial_outputs"] == [{"surface": "w", "failures": ["no-semantics"]}]
+
+
 def test_json_output_does_not_depend_on_the_hash_seed():
     sentence = "quickly the little prolog program generated the complex sentence"
     runs = [["generate", "--grammar", GRAMMAR, "--sem", sem, "--derivations",
@@ -325,6 +441,12 @@ def test_json_output_does_not_depend_on_the_hash_seed():
     runs += [["parse", "the complex sentence", "--root", "np", "--grammar", GRAMMAR,
               "--format", "json"],
              ["parse", sentence, "--grammar", GRAMMAR, "--format", "json"]]
+    formats = ([], ["--format", "json"])
+    runs += [["check", "--grammar", GRAMMAR] + fmt for fmt in formats]
+    runs += [[command, "--grammar", GRAMMAR, "--sem", sem] + extra + fmt
+             for command, extra in (("roundtrip", []), ("compare", ["--budget", "10000"]),
+                                    ("analyze", []))
+             for sem in (NP_SEM, SENTENCE_SEM) for fmt in formats]
     script = ("import json, sys\nfrom skg.cli import main\n"
               "for argv in json.loads(sys.argv[1]):\n    main(argv)\n")
     src = os.path.join(HERE, os.pardir, "src")

@@ -189,3 +189,24 @@ def test_nonsk_expansions_requires_nonsk_goal(grammar):
 def test_generation_error_on_missing_cat(grammar):
     with pytest.raises((GenerationError, skg.GrammarError)):
         generate(grammar, P("[sem: [rel: sentence]]"))
+
+
+@pytest.mark.parametrize("goal, message", [
+    ("[cat: np, sem: X, sem: [mod: <complex>, rel: sentence, def: +]]",
+     "goal repeats feature sem with a variable"),
+    ("[cat: s, sem: [mod: <>, pred: generate, arg1: X, arg1: [def: +, mod: <>, rel: a],"
+     " arg2: [def: +, mod: <>, rel: b]]]", "goal repeats feature sem.arg1 with a variable"),
+    ("[cat: np, sem: [rel: sentence, def: +, mod: complex]]",
+     "non-kernel path mod holds a non-list value"),
+    ("[cat: s, sem: [mod: <>, pred: generate, arg1: [def: +, mod: <>, rel: a],"
+     " arg2: [def: +, mod: <[mod: M]>, rel: b]]]",
+     "non-kernel path arg2.mod.mod holds a non-list value"),
+])
+def test_every_generator_rejects_a_malformed_goal(grammar, goal, message):
+    goal = P(goal)
+    for run in (lambda: generate(grammar, goal),
+                lambda: skg.generate_shdg(grammar, goal, UNIFY_LINK),
+                lambda: nonsk_expansions(grammar, goal),
+                lambda: roundtrip(grammar, goal)):
+        with pytest.raises(GenerationError, match=message):
+            run()
