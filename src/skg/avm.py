@@ -20,7 +20,10 @@ all of a value except one feature between mother and daughter.
 
 All public operations are pure: they never mutate their inputs and
 return normalized results.  Destructive, trailed unification (used by
-the generators and the parser) lives in :class:`Env`.
+the generators and the parser) lives in :class:`Env`.  Its bindings
+share structure instead of copying it (Boyer & Moore 1972, *The sharing
+of structure in theorem-proving programs*): a list that unification
+lengthens stays a chain of segments joined through bound tail variables.
 """
 
 from __future__ import annotations
@@ -148,6 +151,20 @@ class BudgetExhausted(Exception):
 class Env:
     """Variable bindings with a trail for chronological backtracking.
 
+    Unifying a list with a longer one binds the shorter list's open tail
+    to the rest of the longer one, so a list grows as a chain of segments
+    joined through bound tails, and nothing is copied.  ``unify`` walks a
+    chain only as far as the shorter list goes; only ``resolve`` flattens
+    one.
+
+    ``ends`` is the occurs check's memo, kept per binding: a variable
+    bound to an atom, or to a list whose items are atoms or variables
+    with the end None, has an end.  It is None if no unbound variable can
+    be reached from the variable, else the variable at which its chain of
+    list tails goes on, so that :meth:`occurs` crosses a chain in one
+    step.  :meth:`bind` sets it and :meth:`undo` restores it with the
+    binding.  A record never has one, since unification can extend it.
+
     ``steps`` counts the work done in the environment: one step per
     unification node visited, plus the steps a search takes itself
     (:meth:`tick`).  Once the count passes ``budget``, :meth:`tick`
@@ -156,6 +173,7 @@ class Env:
 
     def __init__(self, budget=math.inf):
         self.bindings: dict = {}
+        self.ends: dict = {}  # the occurs check's memo; see the class docstring
         self.trail: list = []
         self._fresh = itertools.count()
         self.budget = budget
@@ -171,15 +189,35 @@ class Env:
 
     def undo(self, mark: int) -> None:
         while len(self.trail) > mark:
-            tag, old = self.trail.pop()
+            tag, old, end = self.trail.pop()
             if old is ABSENT:
                 del self.bindings[tag]
             else:
                 self.bindings[tag] = old
+            if end is ABSENT:
+                self.ends.pop(tag, None)
+            else:
+                self.ends[tag] = end
 
     def bind(self, tag: str, value: Value) -> None:
-        self.trail.append((tag, self.bindings.get(tag, ABSENT)))
+        self.trail.append((tag, self.bindings.get(tag, ABSENT), self.ends.pop(tag, ABSENT)))
         self.bindings[tag] = value
+        end = self._end(value)
+        if end is not ABSENT:
+            self.ends[tag] = end
+
+    def _end(self, value: Value):
+        """The end of a variable bound to ``value`` (see ``ends``), or ABSENT."""
+        if isinstance(value, Atom):
+            return None
+        if not isinstance(value, ListVal):
+            return ABSENT
+        for item in value.items:
+            if not (isinstance(item, Atom) or isinstance(item, Var)
+                    and self.ends.get(item.tag, ABSENT) is None):
+                return ABSENT
+        tail = value.tail
+        return None if tail is None else self.ends.get(tail.tag, tail)
 
     def fresh_var(self) -> Var:
         return Var(f"_G{next(self._fresh)}")
@@ -202,18 +240,31 @@ class Env:
     # -- occurs check -------------------------------------------------------
 
     def occurs(self, tag: str, value: Value) -> bool:
-        value = self.walk(value)
-        if isinstance(value, Var):
-            return value.tag == tag
-        if isinstance(value, Avm):
-            return any(self.occurs(tag, v) for _, v in value.pairs)
-        if isinstance(value, ListVal):
-            if not value.ground_items and any(self.occurs(tag, v)
-                                              for v in value.items):
-                return True
-            return value.tail is not None and self.occurs(tag, value.tail)
-        if isinstance(value, Overlay):
-            return self.occurs(tag, value.rest) or self.occurs(tag, value.over)
+        """Whether the unbound variable ``tag`` occurs in ``value``.
+
+        A bound variable with an end jumps to it, so a chain of bound list
+        tails costs one step, however long it has grown.
+        """
+        bindings, ends = self.bindings, self.ends
+        stack = [value]
+        while stack:
+            v = stack.pop()
+            while isinstance(v, Var):
+                if v.tag not in bindings:
+                    if v.tag == tag:
+                        return True
+                    break
+                end = ends.get(v.tag, ABSENT)
+                v = bindings[v.tag] if end is ABSENT else end
+            if isinstance(v, Avm):
+                stack.extend(x for _, x in v.pairs)
+            elif isinstance(v, ListVal):
+                if not v.ground_items:
+                    stack.extend(v.items)
+                if v.tail is not None:
+                    stack.append(v.tail)
+            elif isinstance(v, Overlay):
+                stack += (v.rest, v.over)
         return False
 
     # -- list normalization -------------------------------------------------
@@ -235,11 +286,6 @@ class Env:
             else:
                 return segments, walked if isinstance(walked, Var) else tail
         return segments, None
-
-    def _spread(self, lst: ListVal) -> ListVal:
-        """Flatten a list whose tail variable is bound to another list."""
-        segments, tail = self._segments(lst)
-        return ListVal(sum((s.items for s in segments), ()), tail)
 
     # -- unification --------------------------------------------------------
 
@@ -322,10 +368,13 @@ class Env:
         return None
 
     def _force_overlay(self, o: Overlay):
-        """Resolve an overlay whose rest variable is already bound."""
+        """Resolve an overlay whose rest variable is already bound, also to
+        another overlay (a mother passed on unresolved)."""
         rest = self.walk(o.rest)
         if isinstance(rest, Var):
             return o
+        if isinstance(rest, Overlay):
+            rest = self._force_overlay(rest)
         if not isinstance(rest, Avm):
             return None
         return self._merge(rest, o.over)
@@ -361,39 +410,67 @@ class Env:
         return Avm(remainder.pairs + tuple(merged_over))
 
     def _merge_lists(self, a: ListVal, b: ListVal) -> Optional[Value]:
-        a = self._spread(a)
-        b = self._spread(b)
-        if len(a.items) > len(b.items):
-            a, b = b, a
+        """Unify two lists item by item through their bound tails.
+
+        Both chains are walked segment by segment only as far as the
+        shorter list goes.  Its items are paired with the longer list's, in
+        order, and its open end is bound to the rest of the longer list
+        (the rest of one segment and that segment's tail), which stays
+        shared, not copied.
+        """
+        sides = ([a], [b])  # the segments walked so far
+        counts = [len(a.items), len(b.items)]
+        ends = [ABSENT, ABSENT]  # None (closed) or the open tail, once reached
+        while True:
+            i = int(counts[0] > counts[1])  # a side with the fewest items so far
+            if ends[i] is not ABSENT:
+                i = 1 - i
+                if counts[i] > counts[1 - i] or ends[i] is not ABSENT:
+                    break
+            tail = sides[i][-1].tail
+            walked = None if tail is None else self.walk(tail)
+            if isinstance(walked, ListVal):
+                sides[i].append(walked)
+                counts[i] += len(walked.items)
+            elif walked is None or isinstance(walked, Var):
+                ends[i] = walked
+            else:
+                return None  # a tail bound to a non-list
+        short = int(counts[0] > counts[1])  # the shorter side, a if neither is
+        longer = (y for segment in sides[1 - short] for y in segment.items)
         merged = []
-        for x, y in zip(a.items, b.items):
-            u = self.unify(x, y)
+        for x in (x for segment in sides[short] for x in segment.items):
+            u = self.unify(x, next(longer))
             if u is None:
                 return None
             merged.append(u)
-        if len(b.items) > len(a.items):
-            if a.tail is None:
+        end, other = ends[short], ends[1 - short]
+        extra = counts[1 - short] - counts[short]
+        if extra:  # other: the rest of the longer list
+            last = sides[1 - short][-1]
+            other = last if extra == len(last.items) else \
+                ListVal(last.items[-extra:], last.tail)
+        if any(isinstance(e, Var) and e.tag in self.bindings for e in (end, other)):
+            # an item took an open end: unify what each list has left
+            left = self.unify(ListVal((), end), other if extra else ListVal((), other))
+            return None if left is None else ListVal(tuple(merged) + left.items, left.tail)
+        if extra:
+            if end is None or self.occurs(end.tag, other):
                 return None
-            extra = b.items[len(a.items):]
-            tail_val = ListVal(extra, b.tail)
-            if any(self.occurs(a.tail.tag, x) for x in extra):
-                return None
-            if b.tail is not None and a.tail.tag == b.tail.tag:
-                return None
-            self.bind(a.tail.tag, tail_val)
-            return ListVal(tuple(merged) + extra, b.tail)
+            self.bind(end.tag, other)
+            return ListVal(tuple(merged), end)
         # equal item counts: reconcile tails
-        if a.tail is None and b.tail is None:
+        if end is None and other is None:
             return ListVal(tuple(merged), None)
-        if a.tail is None:
-            self.bind(b.tail.tag, ListVal((), None))
+        if end is None:
+            self.bind(other.tag, ListVal((), None))
             return ListVal(tuple(merged), None)
-        if b.tail is None:
-            self.bind(a.tail.tag, ListVal((), None))
+        if other is None:
+            self.bind(end.tag, ListVal((), None))
             return ListVal(tuple(merged), None)
-        if a.tail.tag != b.tail.tag:
-            self.bind(b.tail.tag, a.tail)
-        return ListVal(tuple(merged), a.tail)
+        if end.tag != other.tag:
+            self.bind(other.tag, end)
+        return ListVal(tuple(merged), end)
 
     # -- resolution ---------------------------------------------------------
 

@@ -194,10 +194,7 @@ def cmd_compare(args):
 def cmd_analyze(args):
     grammar, goal = _load_goal(args)
     check_goal(goal, grammar)
-    sem = get(goal, ("sem",))
-    if sem is ABSENT:
-        raise InputError("goal has no sem feature")
-    sem = normalize(sem)
+    sem = normalize(get(goal, ("sem",)))
     payload = {
         "is_sk": is_sk(sem, grammar),
         "nonsk_weight": nonsk_weight(sem, grammar),

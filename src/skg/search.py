@@ -136,9 +136,14 @@ def goal_category(goal: Value, env: Env) -> str:
 
 
 def check_goal(goal: Value, grammar) -> None:
-    """Raise ``GenerationError`` for an overlay anywhere in the goal (only rules
-    may share a record that way), or for a value other than a list at a
-    non-kernel path of any record in its ``sem``."""
+    """Raise ``GenerationError`` for a goal without a ``cat`` atom or a ``sem``,
+    for an overlay anywhere in it (only rules may share a record that way), or
+    for a value other than a closed list at a non-kernel path of any record in
+    its ``sem``."""
+    if not isinstance(get(goal, ("cat",)), Atom):
+        raise GenerationError("generation goal has no category atom")
+    if get(goal, ("sem",)) is ABSENT:
+        raise GenerationError("goal has no sem feature")
     stack = [((), goal)]
     while stack:
         path, value = stack.pop()
@@ -149,10 +154,12 @@ def check_goal(goal: Value, grammar) -> None:
             if path[:1] == ("sem",):
                 for nonsk in grammar.nonsk_paths:
                     at = get(value, nonsk)
-                    if at is not ABSENT and not isinstance(at, ListVal):
+                    if at is not ABSENT and not (isinstance(at, ListVal)
+                                                 and at.tail is None):
                         where = ".".join(path[1:] + nonsk)
-                        raise GenerationError(
-                            f"non-kernel path {where} holds a non-list value")
+                        what = "an open list" if isinstance(at, ListVal) \
+                            else "a non-list value"
+                        raise GenerationError(f"non-kernel path {where} holds {what}")
             stack.extend((path + (f,), v) for f, v in reversed(value.pairs))
         elif isinstance(value, ListVal):
             stack.extend((path, v) for v in value.items)
@@ -258,10 +265,8 @@ class Search:
                 children[corner] = deriv
                 rest = self.daughters(copies, sisters, end, children)
                 while (found := (yield rest)) is not DONE:
-                    # resolving forces every overlay whose rest got bound
-                    mother_value = env.resolve(mother)
                     env.tick()  # one step for projecting the mother
-                    up = self.complete(mother_value, Node(rule.id, found[0]),
+                    up = self.complete(mother, Node(rule.id, found[0]),
                                        found[1], goal, goal_cat)
                     while (solution := (yield up)) is not DONE:
                         yield solution

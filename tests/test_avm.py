@@ -208,6 +208,7 @@ def _items(lo):
 
 ITEMS = [_items(lo) for lo in range(N_VARS + 1)]  # ITEMS[N_VARS]: variable-free
 TAILS = [_tails(lo) for lo in range(N_VARS + 1)]
+VARS = st.sampled_from([Var(f"V{i}") for i in range(N_VARS)])
 
 
 def _segment(draw, lo, tails):
@@ -222,10 +223,11 @@ def bound_values(draw):
 
     A variable bound to a list makes a chain of bound list tails, mixing
     variable-free and non-variable-free segments; one bound to an atom
-    or a record makes an ill-typed tail.
+    or a record makes an ill-typed tail.  V<i+1> .. are bound before V<i>,
+    as a search binds a list's tail before the list.
     """
     env = Env()
-    for i in range(N_VARS):
+    for i in reversed(range(N_VARS)):
         kind = draw(st.sampled_from(["unbound", "list", "list", "other"]))
         if kind == "list":
             env.bind(f"V{i}", _segment(draw, i + 1, TAILS[i + 1]))
@@ -245,9 +247,29 @@ def _lists_in(value):
             yield from _lists_in(v)
 
 
+def _apart(value, tags):
+    """``value`` with each variable occurrence renamed to a new one, added to ``tags``."""
+    if isinstance(value, Var):
+        tags.append(f"F{len(tags)}")
+        return Var(tags[-1])
+    if isinstance(value, Avm):
+        return Avm(tuple((f, _apart(v, tags)) for f, v in value.pairs))
+    if isinstance(value, ListVal):
+        items = tuple(_apart(v, tags) for v in value.items)
+        return ListVal(items, value.tail and _apart(value.tail, tags))
+    return value
+
+
+def _check_occurs(env, tags, values):
+    for v in values:
+        for tag in tags:
+            assert env.occurs(tag, v) == reference_occurs(env, tag, v), (tag, v)
+
+
 @settings(max_examples=200)
-@given(bound_values())
-def test_resolve_and_occurs_match_the_references(case):
+@given(bound_values(),
+       st.lists(st.tuples(VARS | ITEMS[0], ITEMS[0], st.booleans()), max_size=4))
+def test_resolve_and_occurs_match_the_references(case, steps):
     env, value = case
     expected = reference_resolve(env, value)
     # the second pass reads the memos the first one computed, and the
@@ -261,6 +283,37 @@ def test_resolve_and_occurs_match_the_references(case):
     for lst in _lists_in(got):
         assert lst.ground_items == all(next(variables(v), None) is None
                                        for v in lst.items)
+    # Then bindings made by unification, which rebinds the variables it
+    # walks through (often a bare variable on the left), kept or undone.
+    # Each right-hand side has its variables renamed apart, as a rule copy
+    # has: unify does not check that a rebinding keeps the bindings acyclic.
+    tags = [f"V{i}" for i in range(N_VARS)]
+    values = [value]
+    for a, b, keep in steps:
+        b = _apart(b, tags)
+        values += [a, b]
+        mark = env.mark()
+        unified = env.unify(a, b) is not None
+        _check_occurs(env, tags, values)
+        if not (unified and keep):
+            env.undo(mark)
+            _check_occurs(env, tags, values)
+
+
+def test_occurs_memo_follows_rebinding_and_undo():
+    env = Env()
+    # a list whose open end a rebinding closes, then undone
+    env.bind("V", P("<a | T>"))
+    mark = env.mark()
+    assert env.unify(Var("V"), P("<a>")) is not None
+    assert not env.occurs("T", Var("V"))
+    env.undo(mark)
+    assert env.occurs("T", Var("V"))
+    # a record item that unification extends with a variable
+    env.bind("R", P("[f: a]"))
+    env.bind("W", ListVal((Var("R"),), Var("U")))
+    assert env.unify(Var("R"), P("[g: X]")) is not None
+    assert env.occurs("X", Var("W"))
 
 
 def test_ground_items_memo_is_invisible():
@@ -283,6 +336,10 @@ def test_unify_open_lists():
 def test_unify_list_tail_reentrancy():
     u = unify(P("[l: <a | T>, t: T]"), P("[l: <a, b>]"))
     assert get(normalize(u), ("t",)) == P("<b>")
+    # a tail that an item takes, or that is bound to a non-list, is not open
+    assert unify(P("<X | X>"), P("<a, b>")) is None
+    assert normalize(unify(P("<X | X>"), P("<<b>, b>"))) == P("<<b>, b>")
+    assert unify(P("[t: T, l: <a | T>]"), P("[t: b, l: <a, c>]")) is None
 
 
 def test_unify_open_records():

@@ -1,5 +1,7 @@
 """Baseline (non-kernel-gated) generation tests."""
 
+import tracemalloc
+
 import pytest
 
 from skg import (
@@ -10,6 +12,7 @@ from skg import (
     GenConfig,
     generate,
     generate_shdg,
+    load_grammar,
     parse_value,
 )
 from skg.baseline import _link_pivot
@@ -58,6 +61,45 @@ def test_baseline_does_not_terminate_on_modified_np(grammar, np_goal):
                                GenConfig(step_budget=budget))
         assert result.exhausted_budget
         assert result.steps_used >= budget
+
+
+# Two non-kernel paths, each with its own adverb rule: the regress can
+# grow either list.
+TWO_LISTS = """
+start s.
+nonsk sem.mod.
+nonsk sem.adj.
+rule m nonsk head 1:
+  [cat: s, sem: S, sem: [mod: <M | Mods>]]
+  -> [cat: s, sem: S, sem: [mod: Mods]], [cat: adv, sem: M].
+rule a nonsk head 1:
+  [cat: s, sem: S, sem: [adj: <M | Mods>]]
+  -> [cat: s, sem: S, sem: [adj: Mods]], [cat: adv, sem: M].
+lex "goes": [cat: s, sem: [pred: go]].
+lex "fast": [cat: adv, sem: fast].
+"""
+
+
+@pytest.mark.parametrize("case", ["np", "two-lists"])
+def test_regress_memory_is_linear(grammar, np_goal, case):
+    # each level of the regress adds one modifier; a level that copies the
+    # list (instead of sharing its chain of bound tails) makes the peak
+    # grow with the square of the depth: 4x the steps took 6.8x the peak
+    # on np.sem and 9.4x on two-lists
+    goal = np_goal
+    if case == "two-lists":
+        grammar = load_grammar(TWO_LISTS)
+        goal = P("[cat: s, sem: [pred: go, mod: <fast>, adj: <fast>]]")
+    peaks = []
+    for budget in (25 * 10 ** 3, 10 ** 5):
+        tracemalloc.start()
+        try:
+            result = generate_shdg(grammar, goal, UNIFY_LINK, GenConfig(step_budget=budget))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.exhausted_budget
+    assert peaks[1] <= 5 * peaks[0], peaks
 
 
 def test_baseline_flags_partial_output(grammar, np_goal):

@@ -244,6 +244,12 @@ def test_json_output_is_deterministic(capsys):
     (["analyze", "--grammar", GRAMMAR, "--sem", "GOAL"],
      "[cat: s, sem: [mod: <>, pred: generate, arg1: [def: +, mod: <>, rel: program],"
      " arg2: [def: +, mod: complex, rel: sentence]]]"),
+    # a category that is not an atom, an open list at a non-kernel path, no sem
+    *[([command, "--grammar", GRAMMAR, "--sem", "GOAL"], goal)
+      for goal in ("[cat: [a: b], sem: [rel: sentence]]",
+                   "[cat: np, sem: [rel: sentence, def: +, mod: <complex | T>]]",
+                   "[cat: np]")
+      for command in ("generate", "roundtrip", "compare", "analyze")],
 ])
 def test_malformed_input_exits_3_with_one_error_line(capsys, tmp_path, argv, goal):
     if goal is not None:

@@ -76,9 +76,12 @@ def test_generate_renders_nothing_with_trace_off(grammar, sentence_goal, np_goal
 def test_baseline_cost_per_step_stays_flat(grammar, np_goal, monkeypatch, mode):
     # each level of the modifier regress makes the list one item longer;
     # occurs and resolve must not walk it again, so 4x the steps costs
-    # about 4x the calls (walking it costs about 15x)
-    calls = {"occurs": 0, "resolve": 0}
-    for name in calls:
+    # about 4x the calls (walking it costs about 15x), and 4x the lines
+    # occurs runs, which follow the values it visits (walking the chain of
+    # bound tails inside one call costs about 15x)
+    occurs_code = Env.occurs.__code__
+    calls = {"occurs": 0, "resolve": 0, "occurs lines": 0}
+    for name in ("occurs", "resolve"):
         original = getattr(Env, name)
 
         def counting(self, *args, _name=name, _original=original):
@@ -86,10 +89,21 @@ def test_baseline_cost_per_step_stays_flat(grammar, np_goal, monkeypatch, mode):
             return _original(self, *args)
 
         monkeypatch.setattr(Env, name, counting)
+
+    def count_lines(frame, event, arg):
+        calls["occurs lines"] += event == "line"
+        return count_lines
+
     counts = []
     for budget in (10 ** 4, 4 * 10 ** 4):
-        calls.update(occurs=0, resolve=0)
-        result = generate_shdg(grammar, np_goal, mode, GenConfig(step_budget=budget))
+        calls.update({name: 0 for name in calls})
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg:
+                     count_lines if frame.f_code is occurs_code else None)
+        try:
+            result = generate_shdg(grammar, np_goal, mode, GenConfig(step_budget=budget))
+        finally:
+            sys.settrace(previous)
         assert result.exhausted_budget
         counts.append(dict(calls))
     for name in calls:
