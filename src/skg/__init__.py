@@ -7,7 +7,6 @@ from .avm import (
     AvmSyntaxError,
     Env,
     ListVal,
-    Overlay,
     Var,
     equal_modulo_renaming,
     get,

@@ -5,25 +5,27 @@ kinds of immutable values:
 
 - ``Atom``: a bare symbol such as ``sentence`` or ``+``.
 - ``Avm``: a finite map from feature names to values (an open record;
-  unification may extend it with new features).
+  unification may extend it with new features), with an optional rest
+  variable (a row variable; Wand 1987, Rémy 1989) that stands for the
+  features the record does not list.
 - ``ListVal``: an ordered sequence, optionally open-ended with a tail
   variable, written ``<a, b>`` or ``<H | T>`` in the textual syntax.
 - ``Var``: an unbound variable / reentrancy tag, written ``#1``, ``_``,
   or a capitalized identifier.
 
-A fifth, ``Overlay``, appears only inside grammar rule descriptions: it
-pairs a "rest" variable with an explicit record and denotes a record
-whose listed features come from the record and whose remaining features
-are shared through the variable.  It is what a repeated feature such as
-``sem: #1, sem: [mod: Mods]`` parses to, and it is how a rule can share
-all of a value except one feature between mother and daughter.
+A record with a rest is what a repeated feature such as ``sem: S, sem:
+[mod: Mods]`` parses to, and it is how a rule shares all of a value
+except one feature between mother and daughter: the restriction of
+Kaplan & Wedekind (1993, *Restriction and correspondence-based
+translation*).  A feature the record lists wins over its rest's.
 
 All public operations are pure: they never mutate their inputs and
 return normalized results.  Destructive, trailed unification (used by
 the generators and the parser) lives in :class:`Env`.  Its bindings
 share structure instead of copying it (Boyer & Moore 1972, *The sharing
 of structure in theorem-proving programs*): a list that unification
-lengthens stays a chain of segments joined through bound tail variables.
+lengthens stays a chain of segments joined through bound tail variables,
+and a record's bound rest stays a chain of records.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Optional, Union
 
-Value = Union["Atom", "Var", "Avm", "ListVal", "Overlay"]
+Value = Union["Atom", "Var", "Avm", "ListVal"]
 
 #: Sentinel distinct from any Value, returned by get() for missing paths.
 ABSENT = object()
@@ -59,21 +61,19 @@ class Var:
 @dataclass(frozen=True)
 class Avm:
     pairs: tuple  # tuple[(feature, Value), ...], unique features
+    rest: Optional["Var"] = None  # None, or the variable for the unlisted features
 
     def get(self, feature: str):
+        """The value the record lists for ``feature``, or ABSENT."""
         for f, v in self.pairs:
             if f == feature:
                 return v
         return ABSENT
 
-    def features(self):
-        return [f for f, _ in self.pairs]
-
-    def without(self, features) -> "Avm":
-        return Avm(tuple((f, v) for f, v in self.pairs if f not in features))
-
     def __repr__(self):
         inner = ", ".join(f"{f}: {v!r}" for f, v in self.pairs)
+        if self.rest is not None:
+            return f"Avm[{inner} | {self.rest!r}]"
         return f"Avm[{inner}]"
 
 
@@ -100,24 +100,15 @@ class ListVal:
         return f"ListVal<{body}>"
 
 
-@dataclass(frozen=True)
-class Overlay:
-    rest: Var
-    over: Avm
-
-    def __repr__(self):
-        return f"Overlay({self.rest!r} + {self.over!r})"
-
-
 def _var_free(value: Value) -> bool:
     """True iff ``value`` contains no variable, bound or not."""
     if isinstance(value, Atom):
         return True
     if isinstance(value, Avm):
-        return all(_var_free(v) for _, v in value.pairs)
+        return value.rest is None and all(_var_free(v) for _, v in value.pairs)
     if isinstance(value, ListVal):
         return value.tail is None and value.ground_items
-    return False  # a Var, or an Overlay, whose rest is a Var
+    return False  # a Var
 
 
 # ---------------------------------------------------------------------------
@@ -135,12 +126,11 @@ def _copy(v: Value, mapping: dict, fresh) -> Value:
             mapping[v.tag] = fresh()
         return mapping[v.tag]
     if isinstance(v, Avm):
-        return Avm(tuple((f, _copy(x, mapping, fresh)) for f, x in v.pairs))
+        pairs = tuple((f, _copy(x, mapping, fresh)) for f, x in v.pairs)
+        return Avm(pairs, v.rest and _copy(v.rest, mapping, fresh))
     if isinstance(v, ListVal):
         tail = _copy(v.tail, mapping, fresh) if v.tail is not None else None
         return ListVal(tuple(_copy(x, mapping, fresh) for x in v.items), tail)
-    if isinstance(v, Overlay):
-        return Overlay(_copy(v.rest, mapping, fresh), _copy(v.over, mapping, fresh))
     raise TypeError(v)
 
 
@@ -155,7 +145,9 @@ class Env:
     to the rest of the longer one, so a list grows as a chain of segments
     joined through bound tails, and nothing is copied.  ``unify`` walks a
     chain only as far as the shorter list goes; only ``resolve`` flattens
-    one.
+    one.  Unifying records binds each unbound rest to the features only
+    the other record lists, so a record's rest can be bound to a record
+    with a rest of its own; :meth:`_fold` reads such a chain.
 
     ``ends`` is the occurs check's memo, kept per binding: a variable
     bound to an atom, or to a list whose items are atoms or variables
@@ -257,14 +249,16 @@ class Env:
                 end = ends.get(v.tag, ABSENT)
                 v = bindings[v.tag] if end is ABSENT else end
             if isinstance(v, Avm):
+                if v.rest is not None:
+                    v = self._fold(v)
                 stack.extend(x for _, x in v.pairs)
+                if v.rest is not None:
+                    stack.append(v.rest)
             elif isinstance(v, ListVal):
                 if not v.ground_items:
                     stack.extend(v.items)
                 if v.tail is not None:
                     stack.append(v.tail)
-            elif isinstance(v, Overlay):
-                stack += (v.rest, v.over)
         return False
 
     # -- list normalization -------------------------------------------------
@@ -299,7 +293,7 @@ class Env:
         self.tick()
         a_chain, a = self._walk_chain(a)
         b_chain, b = self._walk_chain(b)
-        if a is b and not isinstance(a, Overlay):
+        if a is b:
             if a_chain:
                 return a_chain[0]
             return b_chain[0] if b_chain else a
@@ -338,19 +332,11 @@ class Env:
         return chain, v
 
     def _merge(self, a: Value, b: Value) -> Optional[Value]:
-        if isinstance(a, Overlay):
-            a = self._force_overlay(a)
-            if a is None:
-                return None
-        if isinstance(b, Overlay):
-            b = self._force_overlay(b)
-            if b is None:
-                return None
-        if isinstance(a, Overlay) or isinstance(b, Overlay):
-            return self._merge_overlay(a, b)
         if isinstance(a, Atom) and isinstance(b, Atom):
             return a if a.name == b.name else None
         if isinstance(a, Avm) and isinstance(b, Avm):
+            if a.rest is not None or b.rest is not None:
+                return self._merge_rows(self._fold(a), self._fold(b))
             pairs = list(a.pairs)
             index = {f: i for i, (f, _) in enumerate(pairs)}
             for f, bv in b.pairs:
@@ -367,47 +353,55 @@ class Env:
             return self._merge_lists(a, b)
         return None
 
-    def _force_overlay(self, o: Overlay):
-        """Resolve an overlay whose rest variable is already bound, also to
-        another overlay (a mother passed on unresolved)."""
-        rest = self.walk(o.rest)
-        if isinstance(rest, Var):
-            return o
-        if isinstance(rest, Overlay):
-            rest = self._force_overlay(rest)
-        if not isinstance(rest, Avm):
-            return None
-        return self._merge(rest, o.over)
+    def _fold(self, record: Avm) -> Avm:
+        """``record`` with its bound rests folded in by restriction: a feature the
+        record lists wins over the rest's, in the rest's place.  The result's rest
+        is None, unbound, or bound to a non-record (ill-typed, so it fails)."""
+        pairs, rest = record.pairs, record.rest
+        while rest is not None:
+            row = self.walk(rest)
+            if not isinstance(row, Avm):
+                rest = row if isinstance(row, Var) else rest
+                break
+            listed = dict(pairs)
+            pairs = tuple((f, listed.pop(f, v)) for f, v in row.pairs) + tuple(listed.items())
+            rest = row.rest
+        return Avm(pairs, rest)
 
-    def _merge_overlay(self, a: Value, b: Value) -> Optional[Value]:
-        if isinstance(a, Overlay) and isinstance(b, Overlay):
-            if a.rest.tag != b.rest.tag:
-                return None  # independent rests: unsupported, treated as clash
-            if sorted(a.over.features()) != sorted(b.over.features()):
+    def _merge_rows(self, a: Avm, b: Avm) -> Optional[Value]:
+        """Unify two folded records, of which one or both had a rest.  Each
+        unbound rest is bound to the features only the other record lists, and
+        to a fresh rest they share if both have one; a shared rest must list
+        the same features on both sides.  The result keeps a rest, so that it
+        sees what that rest gains later."""
+        if a.rest is None and b.rest is None:  # both rests folded away
+            return self._merge(a, b)
+        if a.rest is None:
+            a, b = b, a
+        if any(r is not None and r.tag in self.bindings for r in (a.rest, b.rest)):
+            return None  # a rest bound to a non-record
+        only_a = tuple(p for p in a.pairs if b.get(p[0]) is ABSENT)
+        only_b = tuple(p for p in b.pairs if a.get(p[0]) is ABSENT)
+        if b.rest is not None and a.rest.tag == b.rest.tag:
+            if only_a or only_b:
                 return None
-            over = self._merge(a.over, b.over)
-            if over is None:
-                return None
-            return Overlay(a.rest, over)
-        o, other = (a, b) if isinstance(a, Overlay) else (b, a)
-        if not isinstance(other, Avm):
-            return None
-        over_feats = set(o.over.features())
-        merged_over = []
-        for f, v in o.over.pairs:
-            ov = other.get(f)
-            if ov is ABSENT:
-                merged_over.append((f, v))
-            else:
-                u = self.unify(v, ov)
-                if u is None:
+        else:  # bound before the listed features unify, which may reach them
+            rest = None if b.rest is None else self.fresh_var()
+            for side, extra in ((a, only_b), (b, only_a)):
+                if side.rest is not None:
+                    row = Avm(extra, rest)
+                    if self.occurs(side.rest.tag, row):
+                        return None
+                    self.bind(side.rest.tag, row)
+        merged = []
+        for f, v in a.pairs:
+            other = b.get(f)
+            if other is not ABSENT:
+                v = self.unify(v, other)
+                if v is None:
                     return None
-                merged_over.append((f, u))
-        remainder = other.without(over_feats)
-        if self.occurs(o.rest.tag, remainder):
-            return None
-        self.bind(o.rest.tag, remainder)
-        return Avm(remainder.pairs + tuple(merged_over))
+            merged.append((f, v))
+        return Avm(tuple(merged), a.rest)  # a.rest: only_b, then b.rest's row
 
     def _merge_lists(self, a: ListVal, b: ListVal) -> Optional[Value]:
         """Unify two lists item by item through their bound tails.
@@ -475,12 +469,15 @@ class Env:
     # -- resolution ---------------------------------------------------------
 
     def resolve(self, value: Value) -> Value:
-        """Substitute all bindings, yielding a standalone value."""
+        """Substitute all bindings, yielding a standalone value; never unifies,
+        binds or ticks."""
         value = self.walk(value)
         if isinstance(value, (Atom, Var)):
             return value
         if isinstance(value, Avm):
-            return Avm(tuple((f, self.resolve(v)) for f, v in value.pairs))
+            if value.rest is not None:
+                value = self._fold(value)
+            return Avm(tuple((f, self.resolve(v)) for f, v in value.pairs), value.rest)
         if isinstance(value, ListVal):
             # A variable-free segment is copied whole, so resolving a
             # list costs its segments, not its items, and the result's
@@ -498,13 +495,6 @@ class Env:
             lst = ListVal(items, tail)
             object.__setattr__(lst, "_ground", ground)
             return lst
-        if isinstance(value, Overlay):
-            forced = self._force_overlay(value)
-            if forced is None or isinstance(forced, Overlay):
-                rest = self.walk(value.rest)
-                rest = rest if isinstance(rest, Var) else Var(value.rest.tag)
-                return Overlay(rest, self.resolve(value.over))
-            return self.resolve(forced)
         raise TypeError(value)
 
 
@@ -525,13 +515,11 @@ def _normalize(v: Value, seen: dict) -> Value:
             seen[v.tag] = Var(f"#{len(seen)}")
         return seen[v.tag]
     if isinstance(v, Avm):
-        return Avm(tuple((f, _normalize(x, seen))
-                         for f, x in sorted(v.pairs, key=itemgetter(0))))
+        pairs = tuple((f, _normalize(x, seen)) for f, x in sorted(v.pairs, key=itemgetter(0)))
+        return Avm(pairs, v.rest and _normalize(v.rest, seen))
     if isinstance(v, ListVal):
         tail = _normalize(v.tail, seen) if v.tail is not None else None
         return ListVal(tuple(_normalize(x, seen) for x in v.items), tail)
-    if isinstance(v, Overlay):
-        return Overlay(_normalize(v.rest, seen), _normalize(v.over, seen))
     return v
 
 
@@ -569,7 +557,9 @@ def _match(x: Value, y: Value, binding: dict) -> bool:
             yv = y.get(f)
             if yv is ABSENT or not _match(xv, yv, binding):
                 return False
-        return True
+        # x's rest stands for what y has beyond the features x lists
+        return x.rest is None or _match(x.rest, Avm(
+            tuple(p for p in y.pairs if x.get(p[0]) is ABSENT), y.rest), binding)
     if isinstance(x, ListVal):
         if not isinstance(y, ListVal):
             return False
@@ -582,8 +572,6 @@ def _match(x: Value, y: Value, binding: dict) -> bool:
         if x.tail is None:
             return not rest and y.tail is None
         return _match(x.tail, ListVal(rest, y.tail), binding)
-    if isinstance(x, Overlay):
-        return x == y
     return False
 
 
@@ -595,8 +583,6 @@ def get(value: Value, path) -> object:
     """Value at a feature path, or ABSENT."""
     v = value
     for feature in path:
-        if isinstance(v, Overlay):
-            v = v.over
         if not isinstance(v, Avm):
             return ABSENT
         v = v.get(feature)
@@ -621,7 +607,7 @@ def put(value: Value, path, new: Value) -> Value:
     old = value.get(f)
     child = put(old, rest, new)
     pairs = tuple((g, child if g == f else v) for g, v in value.pairs)
-    return Avm(pairs if old is not ABSENT else pairs + ((f, child),))
+    return Avm(pairs if old is not ABSENT else pairs + ((f, child),), value.rest)
 
 
 def substructures(value: Value):
@@ -638,15 +624,13 @@ def _visit(v: Value, seen: set, out: list) -> list:
     if isinstance(v, Avm):
         for _, x in v.pairs:
             _visit(x, seen, out)
+        if v.rest is not None:
+            _visit(v.rest, seen, out)
     elif isinstance(v, ListVal):
         for x in v.items:
             _visit(x, seen, out)
         if v.tail is not None:
             _visit(v.tail, seen, out)
-    elif isinstance(v, Overlay):
-        _visit(v.rest, seen, out)
-        for _, x in v.over.pairs:
-            _visit(x, seen, out)
     return out
 
 
@@ -656,14 +640,13 @@ def variables(value: Value) -> Iterator[Var]:
     elif isinstance(value, Avm):
         for _, v in value.pairs:
             yield from variables(v)
+        if value.rest is not None:
+            yield value.rest
     elif isinstance(value, ListVal):
         for v in value.items:
             yield from variables(v)
         if value.tail is not None:
             yield value.tail
-    elif isinstance(value, Overlay):
-        yield value.rest
-        yield from variables(value.over)
 
 
 # ---------------------------------------------------------------------------
@@ -769,29 +752,23 @@ def _is_var_name(name: str) -> bool:
     return name == "_" or name[0].isupper()
 
 
-def _record(written) -> Avm:
+def _record(written, rest=None) -> Avm:
     """A record from (feature, value, position) triples, in first-written order;
     a repeated feature merges with its earlier value, a clash is at the later one."""
     merged: dict = {}
     for f, v, where in written:
         merged[f] = _merge_static(merged[f], v, where) if f in merged else v
-    return Avm(tuple(merged.items()))
+    return Avm(tuple(merged.items()), rest)
 
 
 def _merge_static(a: Value, b: Value, where) -> Value:
-    """Merge two values written for the same feature in one record."""
-    if isinstance(a, Avm) and isinstance(b, Avm):
-        return _record((f, v, where) for f, v in a.pairs + b.pairs)
-    if isinstance(a, Var) and isinstance(b, Avm):
-        return Overlay(a, b)
-    if isinstance(a, Avm) and isinstance(b, Var):
-        return Overlay(b, a)
-    if isinstance(a, Overlay) and isinstance(b, Avm):
-        return Overlay(a.rest, _merge_static(a.over, b, where))
-    if isinstance(a, Avm) and isinstance(b, Overlay):
-        return Overlay(b.rest, _merge_static(a, b.over, where))
+    """Merge two values written for the same feature in one record; a variable
+    written with a record becomes the record's rest."""
     if a == b:
         return a
+    a, b = (Avm((), v) if isinstance(v, Var) else v for v in (a, b))
+    if isinstance(a, Avm) and isinstance(b, Avm) and (a.rest is None or b.rest is None):
+        return _record(((f, v, where) for f, v in a.pairs + b.pairs), a.rest or b.rest)
     raise AvmSyntaxError(f"cannot merge repeated feature values", where[0], where[1])
 
 
@@ -898,20 +875,17 @@ def render(value: Value) -> str:
     if isinstance(value, Avm):
         parts = []
         for f, v in value.pairs:
-            if isinstance(v, Overlay):
-                # emit as a repeated feature so the text round-trips
+            if isinstance(v, Avm) and v.rest is not None:
+                # emit the rest as a repeated feature so the text round-trips
                 parts.append(f"{f}: {render(v.rest)}")
-                parts.append(f"{f}: {render(v.over)}")
-            else:
-                parts.append(f"{f}: {render(v)}")
-        return "[" + ", ".join(parts) + "]"
+                v = Avm(v.pairs)
+            parts.append(f"{f}: {render(v)}")
+        record = "[" + ", ".join(parts) + "]"
+        # a record with a rest has no syntax of its own outside a feature
+        return record if value.rest is None else f"{render(value.rest)} & {record}"
     if isinstance(value, ListVal):
         inner = ", ".join(render(v) for v in value.items)
         if value.tail is not None:
             return f"<{inner} | {render(value.tail)}>"
         return f"<{inner}>"
-    if isinstance(value, Overlay):
-        # re-emittable as a repeated feature at the enclosing position;
-        # standalone rendering shows both parts
-        return f"{render(value.rest)} & {render(value.over)}"
     raise TypeError(value)

@@ -16,7 +16,7 @@ import sys
 from .avm import ABSENT, Atom, Avm, AvmSyntaxError, get, normalize, parse_value, render
 from .baseline import SUBSTRUCTURE_LINK, UNIFY_LINK, generate_shdg
 from .generator import generate, nonsk_expansions, nonsk_weight
-from .grammar import GrammarError, load_grammar
+from .grammar import GrammarError, load_grammar, unary_cycles
 from .kernel import decompose, is_sk, lexically_grounded
 from .parser import ParseError, parse, roundtrip
 from .search import (GenConfig, GenerationError, check_goal, default_budget,
@@ -95,6 +95,8 @@ def cmd_check(args):
              [r.daughter_cat(i) for i in range(len(r.daughters))])
             for r in grammar.rules]
     warnings = [] if grammar.nonsk_paths else ["no non-kernel paths declared"]
+    warnings += [f"unary rule cycle over {', '.join(cats)}: rule {', '.join(ids)}"
+                 for cats, ids in unary_cycles(grammar.rules)]
     payload = {
         "start": grammar.start,
         "nonsk_paths": [".".join(("sem",) + p) for p in grammar.nonsk_paths],

@@ -77,7 +77,6 @@ def _expansions(env, grammar, goal_cat, sem_raw, sem):
         mother = env.instantiate(rule.mother, fresh)
         mother_sem = get(mother, ("sem",))
         if mother_sem is not ABSENT and env.unify(mother_sem, sem_raw) is not None:
-            mother = env.resolve(mother)
             env.tick()  # one step for projecting the mother, as in Search.complete
             daughters = [env.instantiate(d, fresh) for d in rule.daughters]
             head_sem = _sem(env, daughters[rule.head_index])

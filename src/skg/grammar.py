@@ -9,9 +9,10 @@ starts a line comment::
     lex "sentence": [cat: n, lex: sentence, sem: [rel: sentence]].
 
 Feature paths may be written dotted (``sem.mod: X``) and a repeated
-feature merges with the earlier value; merging a variable with a record
-makes the variable stand for the remaining features (see
-:class:`skg.avm.Overlay`).
+feature merges with the earlier value.  A variable written with a record
+(``sem: S, sem: [mod: M]``) becomes the record's rest: the value is S
+restricted by ``mod``, with ``mod: M`` in its place (see
+:class:`skg.avm.Avm`).
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .avm import (
     Avm,
     AvmSyntaxError,
     ListVal,
-    Overlay,
     TokenStream,
     Value,
     Var,
@@ -172,6 +172,21 @@ def link_closure(rules, lexicon, corner) -> frozenset:
         pairs |= new
 
 
+def unary_cycles(rules) -> list:
+    """``(categories, rule ids)`` per cycle of one-daughter rules, on which a
+    search can project forever; off-line parsability (Pereira & Warren 1983,
+    *Parsing as deduction*) asks for none."""
+    unary = [r for r in rules if len(r.daughters) == 1]
+    reach = link_closure(unary, (), lambda r: 0)
+    cycles = {}
+    for r in unary:
+        if (r.daughter_cat(0), r.mother_cat) in reach:
+            cats = tuple(sorted(c for m, c in reach
+                                if m == r.mother_cat and (c, m) in reach))
+            cycles.setdefault(cats, []).append(r.id)
+    return list(cycles.items())
+
+
 def plan_table(rules, link, corner) -> dict:
     """Per goal category, the plans of the rules whose mother it links to.
 
@@ -190,25 +205,21 @@ def _list_pattern(value, path):
     The tail key identifies what the open end of the list is shared
     with: a variable tag, or ``"$closed"`` for a closed list.  A bare
     variable at the path counts as a zero-prefix open list, and a value
-    shared entirely through an overlay rest counts the same way.
+    shared entirely through a record's rest counts the same way.
     """
     v = value
     for feature in path:
-        if isinstance(v, Overlay):
-            nxt = v.over.get(feature)
-            if nxt is ABSENT:
-                v = v.rest
-                break
-            v = nxt
-        elif isinstance(v, Avm):
-            nxt = v.get(feature)
-            if nxt is ABSENT:
-                return None
-            v = nxt
-        elif isinstance(v, Var):
+        if isinstance(v, Var):
             break
-        else:
+        if not isinstance(v, Avm):
             return None
+        nxt = v.get(feature)
+        if nxt is ABSENT:
+            if v.rest is None:
+                return None
+            v = v.rest
+            break
+        v = nxt
     if isinstance(v, Var):
         return (0, v.tag)
     if isinstance(v, ListVal):

@@ -86,7 +86,7 @@ def normalize_nonsk(value: Value, grammar: Grammar) -> Value:
 def _minimal(v: Value, paths) -> Value:
     """``normalize_nonsk``'s walk (not a closure; see ``skg.avm._copy``)."""
     if isinstance(v, Avm):
-        v = Avm(tuple((f, _minimal(x, paths)) for f, x in v.pairs))
+        v = Avm(tuple((f, _minimal(x, paths)) for f, x in v.pairs), v.rest)
         for path in paths:
             at = get(v, path)
             if at is ABSENT:

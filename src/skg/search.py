@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 from types import GeneratorType
 from typing import Optional
 
-from .avm import (ABSENT, Atom, Avm, BudgetExhausted, Env, ListVal, Overlay, Value,
+from .avm import (ABSENT, Atom, Avm, BudgetExhausted, Env, ListVal, Value,
                   get, normalize, render, variables)
 from .grammar import LexEntry
 
@@ -137,9 +137,9 @@ def goal_category(goal: Value, env: Env) -> str:
 
 def check_goal(goal: Value, grammar) -> None:
     """Raise ``GenerationError`` for a goal without a ``cat`` atom or a ``sem``,
-    for an overlay anywhere in it (only rules may share a record that way), or
-    for a value other than a closed list at a non-kernel path of any record in
-    its ``sem``."""
+    for a record with a rest anywhere in it (only rules may share a record that
+    way), or for a value other than a closed list at a non-kernel path of any
+    record in its ``sem``."""
     if not isinstance(get(goal, ("cat",)), Atom):
         raise GenerationError("generation goal has no category atom")
     if get(goal, ("sem",)) is ABSENT:
@@ -147,10 +147,10 @@ def check_goal(goal: Value, grammar) -> None:
     stack = [((), goal)]
     while stack:
         path, value = stack.pop()
-        if isinstance(value, Overlay):
-            raise GenerationError(
-                f"goal repeats feature {'.'.join(path)} with a variable")
         if isinstance(value, Avm):
+            if value.rest is not None:
+                raise GenerationError(
+                    f"goal repeats feature {'.'.join(path)} with a variable")
             if path[:1] == ("sem",):
                 for nonsk in grammar.nonsk_paths:
                     at = get(value, nonsk)

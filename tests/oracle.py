@@ -4,8 +4,8 @@ Nothing here shares search logic with the package: the generation
 oracle is a brute-force bottom-up chart enumeration bounded by yield
 length, and the unification oracle is a direct recursive meet on
 variable-free values.  The element-by-element ``reference_resolve`` and
-``reference_occurs`` use only ``Env``'s variable lookup (and its
-overlay forcing), not its list-segment shortcuts.
+``reference_occurs`` use only ``Env``'s variable lookup, not its
+list-segment shortcuts, and fold a record's bound rests themselves.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from skg import (
     Leaf,
     ListVal,
     Node,
-    Overlay,
     Var,
     get,
     normalize,
@@ -226,20 +225,41 @@ def reference_spread(env: Env, lst: ListVal) -> ListVal:
     return ListVal(items, None)
 
 
+def reference_fold(env: Env, record: Avm) -> Avm:
+    """Fold a record's bound rest in, innermost rest first, by restriction.
+
+    A feature the record lists replaces the folded rest's value in place;
+    the others follow.  The result's rest is None, an unbound variable, or
+    the variable bound to a non-record.
+    """
+    if record.rest is None:
+        return record
+    row = env.walk(record.rest)
+    if isinstance(row, Var):
+        return Avm(record.pairs, row)
+    if not isinstance(row, Avm):
+        return record
+    inner = reference_fold(env, row)
+    pairs = tuple((f, record.get(f) if record.get(f) is not ABSENT else v)
+                  for f, v in inner.pairs)
+    pairs += tuple((f, v) for f, v in record.pairs if inner.get(f) is ABSENT)
+    return Avm(pairs, inner.rest)
+
+
 def reference_occurs(env: Env, tag: str, value) -> bool:
     """Whether variable ``tag`` occurs in ``value``, visiting every item."""
     value = env.walk(value)
     if isinstance(value, Var):
         return value.tag == tag
     if isinstance(value, Avm):
+        value = reference_fold(env, value)
+        if value.rest is not None and reference_occurs(env, tag, value.rest):
+            return True
         return any(reference_occurs(env, tag, v) for _, v in value.pairs)
     if isinstance(value, ListVal):
         if any(reference_occurs(env, tag, v) for v in value.items):
             return True
         return value.tail is not None and reference_occurs(env, tag, value.tail)
-    if isinstance(value, Overlay):
-        return (reference_occurs(env, tag, value.rest)
-                or reference_occurs(env, tag, value.over))
     return False
 
 
@@ -249,18 +269,13 @@ def reference_resolve(env: Env, value):
     if isinstance(value, (Atom, Var)):
         return value
     if isinstance(value, Avm):
-        return Avm(tuple((f, reference_resolve(env, v)) for f, v in value.pairs))
+        value = reference_fold(env, value)
+        return Avm(tuple((f, reference_resolve(env, v)) for f, v in value.pairs),
+                   value.rest)
     if isinstance(value, ListVal):
         value = reference_spread(env, value)
         return ListVal(tuple(reference_resolve(env, v) for v in value.items),
                        value.tail)
-    if isinstance(value, Overlay):
-        forced = env._force_overlay(value)
-        if forced is None or isinstance(forced, Overlay):
-            rest = env.walk(value.rest)
-            rest = rest if isinstance(rest, Var) else Var(value.rest.tag)
-            return Overlay(rest, reference_resolve(env, value.over))
-        return reference_resolve(env, forced)
     raise TypeError(value)
 
 

@@ -13,7 +13,6 @@ from skg import (
     BudgetExhausted,
     Env,
     ListVal,
-    Overlay,
     Var,
     equal_modulo_renaming,
     get,
@@ -62,11 +61,10 @@ def test_parse_lists():
 
 
 def test_parse_repeated_feature_makes_overlay():
+    # a variable written with a record becomes the record's rest
     v = P("[sem: X, sem: [mod: M]]")
-    sem = get(v, ("sem",))
-    assert isinstance(sem, Overlay)
-    assert sem.rest == Var("X")
-    assert sem.over == Avm((("mod", Var("M")),))
+    assert get(v, ("sem",)) == Avm((("mod", Var("M")),), Var("X"))
+    assert Avm((("mod", Var("M")),)).rest is None
 
 
 def test_parse_repeated_record_features_merge():
@@ -196,18 +194,23 @@ def _items(lo):
                              + [Var(f"V{i}") for i in range(lo, N_VARS)])
 
     def compound(children):
-        records = st.builds(lambda f, g: Avm(tuple(p for p in (("f", f), ("g", g))
-                                                   if p[1] is not None)),
-                            st.none() | children, st.none() | children)
         lists = st.builds(ListVal, st.lists(children, max_size=3).map(tuple),
                           _tails(lo))
-        return records | lists
+        return _records(children, lo) | lists
 
     return st.recursive(leaves, compound, max_leaves=4)
 
 
+def _records(values, lo):
+    """Records listing f, g, both or neither, with a rest from V<lo> .. or none."""
+    return st.builds(lambda f, g, rest: Avm(tuple(p for p in (("f", f), ("g", g))
+                                                  if p[1] is not None), rest),
+                     st.none() | values, st.none() | values, _tails(lo))
+
+
 ITEMS = [_items(lo) for lo in range(N_VARS + 1)]  # ITEMS[N_VARS]: variable-free
 TAILS = [_tails(lo) for lo in range(N_VARS + 1)]
+RECORDS = [_records(ITEMS[lo], lo) for lo in range(N_VARS + 1)]
 VARS = st.sampled_from([Var(f"V{i}") for i in range(N_VARS)])
 
 
@@ -223,18 +226,24 @@ def bound_values(draw):
 
     A variable bound to a list makes a chain of bound list tails, mixing
     variable-free and non-variable-free segments; one bound to an atom
-    or a record makes an ill-typed tail.  V<i+1> .. are bound before V<i>,
-    as a search binds a list's tail before the list.
+    or a record makes an ill-typed tail.  A record's rest may be unbound,
+    bound to a record (which may list the same feature, or have a bound
+    rest of its own) or ill-typed.  V<i+1> .. are bound before V<i>, as a
+    search binds a list's tail before the list.
     """
     env = Env()
     for i in reversed(range(N_VARS)):
-        kind = draw(st.sampled_from(["unbound", "list", "list", "other"]))
+        kind = draw(st.sampled_from(["unbound", "list", "list", "record", "other"]))
         if kind == "list":
             env.bind(f"V{i}", _segment(draw, i + 1, TAILS[i + 1]))
+        elif kind == "record":
+            env.bind(f"V{i}", draw(RECORDS[i + 1]))
         elif kind == "other":
             env.bind(f"V{i}", draw(ITEMS[i + 1]))
     value = _segment(draw, 0, st.sampled_from([Var("V0"), Var("V1"), None]))
-    return env, Avm((("f", value),)) if draw(st.booleans()) else value
+    if draw(st.booleans()):
+        value = Avm((("f", value),), draw(st.sampled_from([None, Var("V0"), Var("V1")])))
+    return env, value
 
 
 def _lists_in(value):
@@ -253,7 +262,8 @@ def _apart(value, tags):
         tags.append(f"F{len(tags)}")
         return Var(tags[-1])
     if isinstance(value, Avm):
-        return Avm(tuple((f, _apart(v, tags)) for f, v in value.pairs))
+        pairs = tuple((f, _apart(v, tags)) for f, v in value.pairs)
+        return Avm(pairs, value.rest and _apart(value.rest, tags))
     if isinstance(value, ListVal):
         items = tuple(_apart(v, tags) for v in value.items)
         return ListVal(items, value.tail and _apart(value.tail, tags))
@@ -365,6 +375,49 @@ def test_overlay_rest_excludes_overlaid_features():
     u = unify(Avm((("x", a), ("r", get(a, ("sem",)).rest))), Avm((("x", b),)))
     rest = get(normalize(u), ("r",))
     assert rest == P("[def: +, rel: dog]")
+
+
+def test_independent_rests_share_a_fresh_rest():
+    env = Env()
+    u = env.unify(P("[x: [f: R, f: [a: x]], r: R]"), P("[x: [f: S, f: [b: y]], s: S]"))
+    assert u is not None
+    r, s = env.resolve(Var("R")), env.resolve(Var("S"))
+    assert r.pairs == (("b", Atom("y")),) and s.pairs == (("a", Atom("x")),)
+    assert r.rest == s.rest and env.walk(r.rest) == r.rest  # one fresh, unbound rest
+    assert normalize(env.resolve(u)) == normalize(
+        P("[x: [f: T, f: [a: x, b: y]], r: [b: y], r: T, s: [a: x], s: T]"))
+
+
+def test_one_rest_with_different_features_clashes():
+    env = Env()
+    assert env.unify(P("[f: R, f: [a: x]]"), P("[f: R, f: [b: y]]")) is None
+    assert env.unify(P("[f: R, f: [a: X]]"), P("[f: R, f: [a: x]]")) is not None
+    assert env.resolve(Var("X")) == Atom("x")
+
+
+def test_a_rest_that_would_contain_itself_fails():
+    env = Env()
+    v = P("[s: R, s: [a: x], t: [b: [c: R]]]")
+    assert env.unify(get(v, ("s",)), get(v, ("t",))) is None
+
+
+def test_a_rest_keeps_what_a_listed_feature_binds_it_to():
+    # R is bound to the features only [g: ..] lists (none) before g unifies
+    # and binds R to [h: x]; the merged record shows that through its rest
+    env = Env()
+    u = env.unify(get(P("[f: R, f: [g: R]]"), ("f",)), P("[g: [h: x]]"))
+    assert normalize(env.resolve(u)) == P("[g: [h: x], h: x]")
+
+
+def test_resolve_folds_a_rest_by_restriction_without_unifying():
+    env = Env()
+    v = P("[s: N, s: [def: D], n: N]")
+    assert env.unify(get(v, ("n",)), P("[def: +, rel: x]")) is not None
+    steps, trail = env.steps, len(env.trail)
+    # the record's own def wins over its rest's; nothing is unified or bound
+    assert env.resolve(get(v, ("s",))) == Avm((("def", Var("D")), ("rel", Atom("x"))))
+    assert (env.steps, len(env.trail)) == (steps, trail)
+    assert env.resolve(Var("D")) == Var("D")
 
 
 # ---------------------------------------------------------------------------

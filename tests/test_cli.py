@@ -218,8 +218,8 @@ def test_json_output_is_deterministic(capsys):
     (["compare", "--grammar", GRAMMAR, "--sem", NP_SEM, "--trace"], None),
     (["analyze", "--grammar", GRAMMAR, "--sem", NP_SEM, "--trace"], None),
     (["analyze", "--grammar", GRAMMAR, "--sem", NP_SEM, "--budget", "0"], None),
-    # a feature written as a variable and as a record (an overlay, which only
-    # a rule may hold), at the top of sem or nested in it
+    # a feature written as a variable and as a record (a record with a rest,
+    # which only a rule may hold), at the top of sem or nested in it
     (["generate", "--grammar", GRAMMAR, "--sem", "GOAL"],
      "[cat: np, sem: X, sem: [mod: <complex>, rel: sentence, def: +]]"),
     (["generate", "--algo", "shdg", "--budget", "1000", "--grammar", GRAMMAR,
@@ -406,6 +406,19 @@ def test_check_warns_without_nonsk_paths(capsys, tmp_path):
                         "warning: no non-kernel paths declared\n")
     code, payload, _ = run_json(capsys, "check", "--grammar", str(grammar))
     assert payload["warnings"] == ["no non-kernel paths declared"]
+
+
+def test_check_warns_about_a_unary_rule_cycle(capsys, tmp_path):
+    grammar = tmp_path / "cyclic.skg"
+    grammar.write_text(CYCLIC)
+    code, out, _ = run(capsys, "check", "--grammar", str(grammar))
+    assert code == EXIT_OK
+    assert [line for line in out.splitlines() if "cycle" in line] == \
+        ["warning: unary rule cycle over s: rule 1"]
+    code, payload, _ = run_json(capsys, "check", "--grammar", str(grammar))
+    assert "unary rule cycle over s: rule 1" in payload["warnings"]
+    _, payload, _ = run_json(capsys, "check", "--grammar", GRAMMAR)
+    assert payload["warnings"] == []
 
 
 def test_missing_semantics_file(capsys):

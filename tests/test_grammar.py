@@ -7,9 +7,11 @@ from skg import (
     NONSK,
     SK,
     GrammarError,
+    ListVal,
     Rule,
     classify_rule,
     load_grammar,
+    normalize,
     parse_value,
     serialize_grammar,
 )
@@ -78,6 +80,11 @@ def test_serialize_reload_roundtrip(grammar, np_goal):
     a = sorted(set(skg.generate(grammar, np_goal).surfaces))
     b = sorted(set(skg.generate(again, np_goal).surfaces))
     assert a == b == ["the complex sentence"]
+    # the text is a fixed point, and no rule loses or moves a record's rest
+    assert serialize_grammar(again) == text
+    for r, s in zip(grammar.rules, again.rules):
+        assert normalize(ListVal((r.mother,) + r.daughters)) == \
+            normalize(ListVal((s.mother,) + s.daughters)), r.id
 
 
 MINI = """
