@@ -82,33 +82,11 @@ class ListVal:
     items: tuple  # tuple[Value, ...]
     tail: Optional["Var"] = None  # None means the list is closed
 
-    # Memo of ``ground_items``.  A class attribute, not a dataclass field,
-    # so it plays no part in ==, hash or repr.
-    _ground = None
-
-    @property
-    def ground_items(self) -> bool:
-        """True iff no item contains a variable; computed once per list."""
-        if self._ground is None:
-            object.__setattr__(self, "_ground", all(map(_var_free, self.items)))
-        return self._ground
-
     def __repr__(self):
         body = ", ".join(repr(i) for i in self.items)
         if self.tail is not None:
             return f"ListVal<{body} | {self.tail!r}>"
         return f"ListVal<{body}>"
-
-
-def _var_free(value: Value) -> bool:
-    """True iff ``value`` contains no variable, bound or not."""
-    if isinstance(value, Atom):
-        return True
-    if isinstance(value, Avm):
-        return value.rest is None and all(_var_free(v) for _, v in value.pairs)
-    if isinstance(value, ListVal):
-        return value.tail is None and value.ground_items
-    return False  # a Var
 
 
 # ---------------------------------------------------------------------------
@@ -143,11 +121,14 @@ class Env:
 
     Unifying a list with a longer one binds the shorter list's open tail
     to the rest of the longer one, so a list grows as a chain of segments
-    joined through bound tails, and nothing is copied.  ``unify`` walks a
-    chain only as far as the shorter list goes; only ``resolve`` flattens
-    one.  Unifying records binds each unbound rest to the features only
-    the other record lists, so a record's rest can be bound to a record
-    with a rest of its own; :meth:`_fold` reads such a chain.
+    joined through bound tails, and nothing is copied.  :meth:`_onward`
+    is the one walker of such a chain: ``unify`` walks two chains with it
+    side by side, only as far as the shorter list goes, and only
+    ``resolve`` flattens one.  Unifying records binds each unbound rest
+    to the features only the other record lists, so a record's rest can
+    be bound to a record with a rest of its own; :meth:`_fold` reads such
+    a chain.  :meth:`_bind_acyclic` makes every binding that needs an
+    occurs check.
 
     ``ends`` is the occurs check's memo, kept per binding: a variable
     bound to an atom, or to a list whose items are atoms or variables
@@ -255,31 +236,35 @@ class Env:
                 if v.rest is not None:
                     stack.append(v.rest)
             elif isinstance(v, ListVal):
-                if not v.ground_items:
-                    stack.extend(v.items)
+                stack.extend(v.items)
                 if v.tail is not None:
                     stack.append(v.tail)
         return False
 
-    # -- list normalization -------------------------------------------------
+    def _bind_acyclic(self, var: Var, value: Value) -> bool:
+        """Bind the unbound ``var`` to ``value`` unless ``var`` occurs in it."""
+        if self.occurs(var.tag, value):
+            return False
+        self.bind(var.tag, value)
+        return True
 
-    def _segments(self, lst: ListVal):
-        """The lists joined through ``lst``'s bound tails, and the last tail.
+    # -- list chains --------------------------------------------------------
 
-        The last tail is None for a closed list, an unbound variable, or
-        a variable bound to a non-list (ill-typed; it surfaces as a
-        unification failure later).
+    def _onward(self, segment: ListVal, pos: int):
+        """Move ``(segment, pos)`` past segment ends through bound list tails.
+
+        Returns the segment, the position and, while the position is at an
+        item, ABSENT; at the end of the chain, the list's end instead: None
+        if it is closed, else its unbound tail variable, or the tail bound
+        to a non-list (ill-typed; unification fails on it).
         """
-        segments = [lst]
-        tail = lst.tail
-        while tail is not None:
-            walked = self.walk(tail)
-            if isinstance(walked, ListVal):
-                segments.append(walked)
-                tail = walked.tail
-            else:
-                return segments, walked if isinstance(walked, Var) else tail
-        return segments, None
+        while pos == len(segment.items):
+            tail = segment.tail
+            walked = tail and self.walk(tail)
+            if not isinstance(walked, ListVal):
+                return segment, pos, tail if isinstance(walked, (Atom, Avm)) else walked
+            segment, pos = walked, 0
+        return segment, pos, ABSENT
 
     # -- unification --------------------------------------------------------
 
@@ -302,15 +287,9 @@ class Env:
                 self.bind(b.tag, a)
             return a
         if isinstance(a, Var):
-            if self.occurs(a.tag, b):
-                return None
-            self.bind(a.tag, b)
-            return a
+            return a if self._bind_acyclic(a, b) else None
         if isinstance(b, Var):
-            if self.occurs(b.tag, a):
-                return None
-            self.bind(b.tag, a)
-            return b
+            return b if self._bind_acyclic(b, a) else None
 
         merged = self._merge(a, b)
         if merged is None:
@@ -388,11 +367,9 @@ class Env:
         else:  # bound before the listed features unify, which may reach them
             rest = None if b.rest is None else self.fresh_var()
             for side, extra in ((a, only_b), (b, only_a)):
-                if side.rest is not None:
-                    row = Avm(extra, rest)
-                    if self.occurs(side.rest.tag, row):
-                        return None
-                    self.bind(side.rest.tag, row)
+                if side.rest is not None and not self._bind_acyclic(
+                        side.rest, Avm(extra, rest)):
+                    return None
         merged = []
         for f, v in a.pairs:
             other = b.get(f)
@@ -406,65 +383,34 @@ class Env:
     def _merge_lists(self, a: ListVal, b: ListVal) -> Optional[Value]:
         """Unify two lists item by item through their bound tails.
 
-        Both chains are walked segment by segment only as far as the
-        shorter list goes.  Its items are paired with the longer list's, in
-        order, and its open end is bound to the rest of the longer list
-        (the rest of one segment and that segment's tail), which stays
-        shared, not copied.
+        Both chains are walked side by side, only as far as the shorter
+        list goes.  Then the end of the side that ran out is bound to what
+        the other side has left (its end, or the rest of one segment and
+        that segment's tail), which stays shared, not copied.
         """
-        sides = ([a], [b])  # the segments walked so far
-        counts = [len(a.items), len(b.items)]
-        ends = [ABSENT, ABSENT]  # None (closed) or the open tail, once reached
-        while True:
-            i = int(counts[0] > counts[1])  # a side with the fewest items so far
-            if ends[i] is not ABSENT:
-                i = 1 - i
-                if counts[i] > counts[1 - i] or ends[i] is not ABSENT:
-                    break
-            tail = sides[i][-1].tail
-            walked = None if tail is None else self.walk(tail)
-            if isinstance(walked, ListVal):
-                sides[i].append(walked)
-                counts[i] += len(walked.items)
-            elif walked is None or isinstance(walked, Var):
-                ends[i] = walked
-            else:
-                return None  # a tail bound to a non-list
-        short = int(counts[0] > counts[1])  # the shorter side, a if neither is
-        longer = (y for segment in sides[1 - short] for y in segment.items)
         merged = []
-        for x in (x for segment in sides[short] for x in segment.items):
-            u = self.unify(x, next(longer))
+        a, i, a_end = self._onward(a, 0)
+        b, j, b_end = self._onward(b, 0)
+        while a_end is ABSENT and b_end is ABSENT:
+            u = self.unify(a.items[i], b.items[j])
             if u is None:
                 return None
             merged.append(u)
-        end, other = ends[short], ends[1 - short]
-        extra = counts[1 - short] - counts[short]
-        if extra:  # other: the rest of the longer list
-            last = sides[1 - short][-1]
-            other = last if extra == len(last.items) else \
-                ListVal(last.items[-extra:], last.tail)
-        if any(isinstance(e, Var) and e.tag in self.bindings for e in (end, other)):
-            # an item took an open end: unify what each list has left
-            left = self.unify(ListVal((), end), other if extra else ListVal((), other))
-            return None if left is None else ListVal(tuple(merged) + left.items, left.tail)
-        if extra:
-            if end is None or self.occurs(end.tag, other):
-                return None
-            self.bind(end.tag, other)
-            return ListVal(tuple(merged), end)
-        # equal item counts: reconcile tails
-        if end is None and other is None:
-            return ListVal(tuple(merged), None)
-        if end is None:
-            self.bind(other.tag, ListVal((), None))
-            return ListVal(tuple(merged), None)
-        if other is None:
-            self.bind(end.tag, ListVal((), None))
-            return ListVal(tuple(merged), None)
-        if end.tag != other.tag:
-            self.bind(other.tag, end)
-        return ListVal(tuple(merged), end)
+            a, i, a_end = self._onward(a, i + 1)
+            b, j, b_end = self._onward(b, j + 1)
+        if b_end is ABSENT:  # a ran out first: its end takes b's rest
+            a, i, a_end, b_end = b, j, ABSENT, a_end
+        rest = a_end if a_end is not ABSENT else a if i == 0 else ListVal(a.items[i:], a.tail)
+        end = b_end
+        if end is None:  # a closed end takes only an empty rest
+            end, rest = rest, None
+        if isinstance(end, ListVal) or any(
+                isinstance(e, Var) and e.tag in self.bindings for e in (end, rest)):
+            return None  # items left for a closed end, or an ill-typed tail
+        if end is not None and end != rest \
+                and not self._bind_acyclic(end, ListVal(()) if rest is None else rest):
+            return None
+        return ListVal(tuple(merged), b_end)
 
     # -- resolution ---------------------------------------------------------
 
@@ -479,22 +425,12 @@ class Env:
                 value = self._fold(value)
             return Avm(tuple((f, self.resolve(v)) for f, v in value.pairs), value.rest)
         if isinstance(value, ListVal):
-            # A variable-free segment is copied whole, so resolving a
-            # list costs its segments, not its items, and the result's
-            # ground_items memo is set from theirs.
-            segments, tail = self._segments(value)
-            items = ()
-            ground = True
-            for segment in segments:
-                if segment.ground_items:
-                    items += segment.items
-                else:
-                    resolved = tuple(self.resolve(v) for v in segment.items)
-                    ground = ground and all(map(_var_free, resolved))
-                    items += resolved
-            lst = ListVal(items, tail)
-            object.__setattr__(lst, "_ground", ground)
-            return lst
+            items = []
+            segment, _, end = self._onward(value, 0)
+            while end is ABSENT:
+                items.extend(map(self.resolve, segment.items))
+                segment, _, end = self._onward(segment, len(segment.items))
+            return ListVal(tuple(items), end)
         raise TypeError(value)
 
 

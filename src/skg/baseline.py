@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from .avm import ABSENT, Value, get, substructures
 from .grammar import Grammar
+from .parser import check_output
 from .search import (GenConfig, GenResult, Search, check_goal, distinct_outputs,
                      goal_category)
 
@@ -76,8 +77,6 @@ def _linked_pivots(mode):
 def generate_shdg(grammar: Grammar, goal: Value, mode: str = UNIFY_LINK,
                   cfg: GenConfig = None) -> BaselineResult:
     """Baseline enumeration with round-trip classification of outputs."""
-    from .parser import check_output  # deferred: parser imports search too
-
     if mode not in (UNIFY_LINK, SUBSTRUCTURE_LINK):
         raise ValueError(f"unknown link mode {mode!r}")
     check_goal(goal, grammar)

@@ -110,8 +110,8 @@ def _kernel_pivots(search, goal, goal_cat, pos):
     kernel = decompose(sem, grammar) if ground else None
 
     def attach(entry):
-        if kernel is not None and entry.normal_sem is not ABSENT \
-                and not sk_of(kernel, entry.normal_sem, grammar):
+        if kernel is not None and entry.sem is not ABSENT \
+                and not sk_of(kernel, entry.sem, grammar):
             return None
         pivot = env.instantiate(entry.description, {})
         if sem is not ABSENT and get(pivot, ("sem",)) is not ABSENT:

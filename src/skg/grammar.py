@@ -65,12 +65,6 @@ class LexEntry:
     def sem(self):
         return get(self.description, ("sem",))
 
-    @cached_property
-    def normal_sem(self):
-        """The normalised semantics (or ABSENT), computed once per entry."""
-        sem = self.sem
-        return normalize(sem) if sem is not ABSENT else ABSENT
-
 
 @dataclass(frozen=True)
 class Rule:

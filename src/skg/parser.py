@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .avm import ABSENT, Atom, Avm, Value, get, normalize, subsumes
+from .generator import generate
 from .grammar import Grammar
 from .kernel import normalize_nonsk
 from .search import GenConfig, Search
@@ -128,8 +129,6 @@ class RoundTripReport:
 
 def roundtrip(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> RoundTripReport:
     """Generate from a goal, re-parse every output, verify both directions."""
-    from .generator import generate
-
     cfg = cfg or GenConfig()
     result = generate(grammar, goal, cfg)
     if result.exhausted_budget:

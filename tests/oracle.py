@@ -4,8 +4,9 @@ Nothing here shares search logic with the package: the generation
 oracle is a brute-force bottom-up chart enumeration bounded by yield
 length, and the unification oracle is a direct recursive meet on
 variable-free values.  The element-by-element ``reference_resolve`` and
-``reference_occurs`` use only ``Env``'s variable lookup, not its
-list-segment shortcuts, and fold a record's bound rests themselves.
+``reference_occurs`` use only ``Env``'s variable lookup, not its walker
+of bound list tails or its occurs memo, and fold a record's bound rests
+themselves.
 """
 
 from __future__ import annotations

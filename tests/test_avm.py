@@ -178,8 +178,9 @@ def test_occurs_check():
     assert unify(P("[f: X, g: X]"), P("[f: Y, g: [h: Y]]")) is None
 
 
-# Env.resolve and Env.occurs skip variable-free list segments; the
-# references in oracle.py visit every item.
+# Env.resolve flattens a chain of bound list tails through Env._onward,
+# and Env.occurs jumps across one through the Env.ends memo; the
+# references in oracle.py walk every item and tail themselves.
 N_VARS = 5
 
 
@@ -214,6 +215,15 @@ RECORDS = [_records(ITEMS[lo], lo) for lo in range(N_VARS + 1)]
 VARS = st.sampled_from([Var(f"V{i}") for i in range(N_VARS)])
 
 
+def _lists(items):
+    return st.builds(ListVal, st.lists(items, max_size=3).map(tuple), TAILS[0])
+
+
+#: Lists whose items are atoms, variables or such lists.
+LISTS = _lists(st.recursive(st.sampled_from([Atom("a"), Atom("b")]) | VARS, _lists,
+                            max_leaves=4))
+
+
 def _segment(draw, lo, tails):
     """A list over V<lo> ..; half of them have variable-free items."""
     items = ITEMS[N_VARS] if draw(st.booleans()) else ITEMS[lo]
@@ -246,16 +256,6 @@ def bound_values(draw):
     return env, value
 
 
-def _lists_in(value):
-    if isinstance(value, ListVal):
-        yield value
-        for v in value.items:
-            yield from _lists_in(v)
-    elif isinstance(value, Avm):
-        for _, v in value.pairs:
-            yield from _lists_in(v)
-
-
 def _apart(value, tags):
     """``value`` with each variable occurrence renamed to a new one, added to ``tags``."""
     if isinstance(value, Var):
@@ -278,21 +278,18 @@ def _check_occurs(env, tags, values):
 
 @settings(max_examples=200)
 @given(bound_values(),
-       st.lists(st.tuples(VARS | ITEMS[0], ITEMS[0], st.booleans()), max_size=4))
-def test_resolve_and_occurs_match_the_references(case, steps):
+       st.lists(st.tuples(VARS | ITEMS[0], ITEMS[0], st.booleans()), max_size=4),
+       st.lists(st.tuples(LISTS, LISTS, st.booleans()), max_size=3))
+def test_resolve_and_occurs_match_the_references(case, steps, list_steps):
     env, value = case
     expected = reference_resolve(env, value)
-    # the second pass reads the memos the first one computed, and the
-    # third resolves a value whose lists carry the memos resolve set
-    for v in (value, value, env.resolve(value)):
+    # the second pass resolves a value that is already resolved
+    for v in (value, env.resolve(value)):
         got = env.resolve(v)
         assert got == expected
         assert hash(got) == hash(expected) and repr(got) == repr(expected)
         for i in range(N_VARS):
             assert env.occurs(f"V{i}", v) == reference_occurs(env, f"V{i}", v)
-    for lst in _lists_in(got):
-        assert lst.ground_items == all(next(variables(v), None) is None
-                                       for v in lst.items)
     # Then bindings made by unification, which rebinds the variables it
     # walks through (often a bare variable on the left), kept or undone.
     # Each right-hand side has its variables renamed apart, as a rule copy
@@ -308,6 +305,18 @@ def test_resolve_and_occurs_match_the_references(case, steps):
         if not (unified and keep):
             env.undo(mark)
             _check_occurs(env, tags, values)
+    # A kept unification of two lists makes both sides and the result
+    # resolve to one value.
+    for a, b, keep in list_steps:
+        b = _apart(b, tags)
+        mark = env.mark()
+        result = env.unify(a, b)
+        if result is None or not keep:
+            env.undo(mark)
+            continue
+        a, b, result = (normalize(reference_resolve(env, v)) for v in (a, b, result))
+        assert a == b == result
+        _check_occurs(env, tags, values)
 
 
 def test_occurs_memo_follows_rebinding_and_undo():
@@ -326,16 +335,6 @@ def test_occurs_memo_follows_rebinding_and_undo():
     assert env.occurs("X", Var("W"))
 
 
-def test_ground_items_memo_is_invisible():
-    lst = ListVal((Atom("a"), P("[f: <b>]")), Var("T"))
-    bare = ListVal(lst.items, lst.tail)
-    assert lst.ground_items
-    assert "_ground" in vars(lst) and "_ground" not in vars(bare)
-    assert lst == bare and hash(lst) == hash(bare) and repr(lst) == repr(bare)
-    assert normalize(lst) == normalize(bare) and render(lst) == render(bare)
-    assert not ListVal((Atom("a"), Var("X"))).ground_items
-
-
 def test_unify_open_lists():
     u = unify(P("<a | T>"), P("<a, b, c>"))
     assert normalize(u) == P("<a, b, c>")
@@ -350,6 +349,17 @@ def test_unify_list_tail_reentrancy():
     assert unify(P("<X | X>"), P("<a, b>")) is None
     assert normalize(unify(P("<X | X>"), P("<<b>, b>"))) == P("<<b>, b>")
     assert unify(P("[t: T, l: <a | T>]"), P("[t: b, l: <a, c>]")) is None
+
+
+def test_unify_list_tail_outcomes():
+    # a closed end takes an open end that has nothing left: the open end closes
+    assert normalize(unify(P("<a>"), P("<a | T>"))) == P("<a>")
+    # two open ends with nothing left become one variable
+    u = unify(P("[l: <a | T>, m: <a | U>, t: T, u: U]"), P("[l: L, m: L, u: <b>]"))
+    assert get(normalize(u), ("t",)) == P("<b>")
+    # an open end may not take a rest that holds the end itself
+    env = Env()
+    assert env.unify(P("[l: <a | T>, m: <a, b | T>]"), P("[l: L, m: L]")) is None
 
 
 def test_unify_open_records():

@@ -94,6 +94,18 @@ def test_ladder_steps(grammar):
     assert not result.exhausted_budget
 
 
+# Exact step counts: tier-1 catches a change in the search's work.
+@pytest.mark.parametrize("k, steps", enumerate(
+    [251, 469, 904, 1_760, 3_428, 6_701, 13_206, 26_300]))
+def test_ladder_steps_exact(grammar, k, steps):
+    assert generate(grammar, ladder_goal(k)).steps_used == steps
+
+
+def test_fixture_steps_exact(grammar, np_goal, sentence_goal):
+    assert generate(grammar, np_goal).steps_used == 71
+    assert generate(grammar, sentence_goal).steps_used == 469
+
+
 def test_early_outputs_survive(grammar, sentence_goal):
     result = generate(grammar, sentence_goal, GenConfig(step_budget=300))
     assert result.exhausted_budget
