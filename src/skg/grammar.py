@@ -43,6 +43,7 @@ SK = "SK"
 NONSK = "NonSK"
 
 _KEYWORDS = {"start", "nonsk", "rule", "lex", "head", "sk"}
+LOCAL = "local-success"  # a completion row's entry for unifying pivot and goal
 
 
 class GrammarError(ValueError):
@@ -92,11 +93,15 @@ class Rule:
 
 
 class Tables(NamedTuple):
-    """What a search looks up, so that it does no per-rule work itself."""
-    sk: dict  # generate's plans (plan_table): the SK rules, by the head
-    head: dict  # the baseline's plans: every rule, by the head
-    left: dict  # the parser's plans: every rule, by the leftmost daughter
-    nonsk: dict  # the NonSK expansion's plans: the NonSK rules, by the head
+    """What a search looks up, so that it does no per-rule work itself.
+
+    ``sk``, ``head`` and ``left`` hold completion rows (see
+    :func:`completion_rows`), keyed by linked (goal cat, pivot cat) pairs.
+    """
+    sk: dict  # generate's rows: the SK rules, by the head, split by pivot cat
+    head: dict  # the baseline's rows: every rule, by the head, for any pivot cat
+    left: dict  # the parser's rows: every rule, by the leftmost daughter, split
+    nonsk: dict  # goal cat -> the NonSK rules' plans (plan_table), by the head
     entries: dict  # surface -> its lexical entries
     lexicon: dict  # goal category -> the entries it head-links to, in lexicon order
 
@@ -121,13 +126,19 @@ class Grammar:
     def tables(self) -> Tables:
         """The grammar's search tables, built on its first search."""
         head = plan_table(self.rules, self.link, lambda r: r.head_index)
+        left = plan_table(self.rules, self.left_corner, lambda r: 0)
         sk, nonsk = ({g: [p for p in ps if p[0].sk_class == c]
                       for g, ps in head.items()} for c in (SK, NONSK))
         entries = {}
         for e in self.lexicon:
             entries.setdefault(e.surface, []).append(e)
         linked = {g: [e for e in self.lexicon if (g, e.cat) in self.link] for g in head}
-        return Tables(sk, head, plan_table(self.rules, self.left_corner, lambda r: 0),
+        # the baseline tries local success and every rule on every pivot,
+        # as classical SHDG does, so its rows are not split by pivot cat
+        unsplit = {g: [LOCAL] + ps for g, ps in head.items()}
+        return Tables(completion_rows(sk, self.link),
+                      {(g, p): unsplit[g] for g, p in self.link},
+                      completion_rows(left, self.left_corner),
                       nonsk, entries, linked)
 
     def rule_by_id(self, rule_id: str) -> Rule:
@@ -191,6 +202,20 @@ def plan_table(rules, link, corner) -> dict:
              for r in rules]
     return {goal: [p for p in plans if (goal, p[0].mother_cat) in link]
             for goal in sorted({goal for goal, _ in link})}
+
+
+def completion_rows(plans, link) -> dict:
+    """What the head-corner step tries, per linked (goal cat, pivot cat) pair.
+
+    A row holds :data:`LOCAL` (unify the pivot with the goal) when the two
+    categories are the same, then the goal's plans whose corner daughter
+    has the pivot's category, in grammar order.  Every rule and lexical
+    ``cat`` is an atom, so what a row leaves out could only fail to unify
+    (the pre-unification filter of Kiefer et al. 1999, by category).
+    """
+    return {(g, p): [LOCAL] * (g == p)
+            + [plan for plan in plans[g] if plan[0].daughter_cat(plan[1]) == p]
+            for g, p in sorted(link)}
 
 
 def _list_pattern(value, path):

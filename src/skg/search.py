@@ -6,9 +6,13 @@ where one head-corner step does both.  A goal is solved by taking
 pivots from a pivot source and completing each bottom-up: a rule whose
 corner daughter unifies with the pivot is applied, its other daughters
 are solved left to right, and its mother becomes the next pivot, until
-a pivot unifies with the goal.  The searches differ only in their plan
-table (which rules a goal category links to, and by which daughter a
-pivot enters each) and their pivot source.
+a pivot unifies with the goal.  The searches differ only in their
+completion rows and their pivot source.  A row, keyed by the goal's and
+the pivot's categories, lists what the step tries in order: local
+success, and the rules the pivot can enter by their corner daughter.
+Generation and parsing try only what the pivot's category can match;
+the baseline, as classical SHDG, tries local success and every rule the
+goal links to on every pivot.
 
 Searches are generators run by one flat loop, :func:`drive`.  A search
 yields a sub-search to pull that sub-search's next solution, and is sent
@@ -35,7 +39,7 @@ from typing import Optional
 
 from .avm import (ABSENT, Atom, Avm, BudgetExhausted, Env, ListVal, Value,
                   get, normalize, render, variables)
-from .grammar import LexEntry
+from .grammar import LOCAL, LexEntry
 
 DEFAULT_BUDGET = 10 ** 6
 DONE = object()  # sent to a search when the sub-search it pulled is exhausted
@@ -195,9 +199,10 @@ def drive(search):
 class Search:
     """One head-corner search over a grammar (see the module docstring).
 
-    ``plans`` maps a goal category to the ``(rule, corner index, sister
-    indices)`` plans of the rules whose mother it links to (one of the
-    grammar's tables); ``pivots(search, goal, goal_cat, pos)`` returns a
+    ``rows`` maps a (goal category, pivot category) pair to what the
+    head-corner step tries on such a pivot, in order: :data:`LOCAL` and
+    ``(rule, corner index, sister indices)`` plans (one of the grammar's
+    tables); ``pivots(search, goal, goal_cat, pos)`` returns a
     search that yields ``(pivot, derivation, end)`` triples, where ``pos``
     is the parser's input position (``None`` in generation).  Solutions
     are ``(derivation, end, merged goal)`` triples, read through
@@ -208,10 +213,10 @@ class Search:
     replayed after that (see :meth:`tabled`).
     """
 
-    def __init__(self, grammar, cfg: GenConfig, plans, pivots, table=None):
+    def __init__(self, grammar, cfg: GenConfig, rows, pivots, table=None):
         self.g = grammar
         self.pivots = pivots
-        self.plans = plans
+        self.rows = rows
         self.env = Env(cfg.step_budget)
         self.tracing = cfg.trace
         self.log = []
@@ -242,18 +247,24 @@ class Search:
                 yield solution
 
     def complete(self, pivot, deriv, end, goal, goal_cat):
-        """The head-corner step: succeed locally, or project the pivot."""
+        """The head-corner step: succeed locally, or project the pivot.
+
+        What it tries is the row of the goal's and the pivot's categories.
+        """
         env = self.env
-        env.tick()
-        mark = env.mark()
-        merged = env.unify(pivot, goal)
-        if merged is not None:
-            self.note("local-success at", goal)
-            yield deriv, end, merged
-        env.undo(mark)
-        for rule, corner, sisters in self.plans.get(goal_cat, ()):
+        # a pivot is a lexical entry or a rule mother, so its cat is an atom
+        pivot_cat = env.walk(env.walk(pivot).get("cat")).name
+        for plan in self.rows.get((goal_cat, pivot_cat), ()):
             env.tick()
             mark = env.mark()
+            if plan is LOCAL:
+                merged = env.unify(pivot, goal)
+                if merged is not None:
+                    self.note("local-success at", goal)
+                    yield deriv, end, merged
+                env.undo(mark)
+                continue
+            rule, corner, sisters = plan
             # copy the rest only once the corner takes the pivot (Tomabechi 1991)
             fresh = {}
             if env.unify(env.instantiate(rule.daughters[corner], fresh),

@@ -276,7 +276,7 @@ def _check_occurs(env, tags, values):
             assert env.occurs(tag, v) == reference_occurs(env, tag, v), (tag, v)
 
 
-@settings(max_examples=200)
+@settings(max_examples=200, deadline=None)
 @given(bound_values(),
        st.lists(st.tuples(VARS | ITEMS[0], ITEMS[0], st.booleans()), max_size=4),
        st.lists(st.tuples(LISTS, LISTS, st.booleans()), max_size=3))

@@ -179,12 +179,14 @@ def _count_copies(monkeypatch):
 
 def test_copies_of_generate_and_parse_are_pinned(grammar, sentence_goal, monkeypatch):
     # a rule is copied whole only after its corner daughter takes the
-    # pivot; copying it whole before the corner test made 649 copies here
+    # pivot, and its corner only when it has the pivot's category; copying
+    # it whole before the corner test made 649 copies here, and trying
+    # every rule the goal links to on every pivot 375
     copied = _count_copies(monkeypatch)
     result = generate(grammar, sentence_goal)
     for surface in sorted(set(result.surfaces)):
         parse(grammar, surface)
-    assert len(copied) == 375
+    assert len(copied) == 221
 
 
 # every rule's corner daughter clashes with the one entry on ``form``
@@ -212,7 +214,8 @@ def test_a_corner_that_fails_copies_only_the_corner(monkeypatch):
     assert not result.outputs
     assert rule_copies() == [r1.daughters[0], r2.daughters[0], r3.daughters[1]]
     assert not parse(g, "go").analyses
-    assert rule_copies() == [r1.daughters[0], r2.daughters[0], r3.daughters[0]]
+    # r3's left corner has category x, so the pivot "go" (v) skips it
+    assert rule_copies() == [r1.daughters[0], r2.daughters[0]]
     generate_shdg(g, parse_value("[cat: s, sem: [pred: go]]"))
     assert rule_copies() == [r1.daughters[0], r2.daughters[0], r3.daughters[1]]
 

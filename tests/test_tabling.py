@@ -1,11 +1,14 @@
-"""Subgoal tabulation in kernel-driven generation.
+"""Subgoal tabulation and completion rows in kernel-driven generation.
 
 ``generate`` solves each ground daughter goal once per call and replays
 its solutions after that; these tests hold it to plain search, pin the
 step count it saves, and pin the baseline and the parser, which do not
-use the table, to the figures they had before it.
+use the table, to their figures.  ``generate`` and ``parse`` complete a
+pivot only through what its category can match; they are held to a
+search that tries every plan of the goal on every pivot.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -23,6 +26,7 @@ from skg import (
     parse_value,
 )
 from skg.generator import _kernel_pivots
+from skg.grammar import LOCAL, SK, plan_table
 from skg.search import Search, distinct_outputs
 
 LADDER = ("[cat: s, sem: [mod: <{}>, pred: generate,"
@@ -34,20 +38,43 @@ def ladder_goal(k):
     return parse_value(LADDER.format(", ".join(["quick"] * k)))
 
 
+def unindexed(grammar):
+    """A copy of ``grammar`` whose ``generate`` and ``parse`` rows do not
+    look at the pivot's category: each tries local success and every plan
+    of the goal on every pivot, as the baseline's rows do."""
+    def rows(link, corner, keep):
+        plans = plan_table(grammar.rules, link, corner)
+        return {(g, p): [LOCAL] + [plan for plan in plans[g] if keep(plan[0])]
+                for g, p in link}
+
+    copy = dataclasses.replace(grammar)
+    copy.tables = grammar.tables._replace(
+        sk=rows(grammar.link, lambda r: r.head_index, lambda r: r.sk_class == SK),
+        left=rows(grammar.left_corner, lambda r: 0, lambda r: True))
+    return copy
+
+
 def untabled(grammar, goal):
-    """Outputs of a plain search with the same four settings as ``generate``."""
+    """Outputs and steps of a plain search with the same four settings as
+    ``generate``; on an :func:`unindexed` grammar, an unindexed search."""
     search = Search(grammar, GenConfig(), grammar.tables.sk, _kernel_pivots)
     assert search.table is None
-    return list(distinct_outputs(search, search.env.instantiate(goal, {})))
+    outputs = list(distinct_outputs(search, search.env.instantiate(goal, {})))
+    return outputs, search.env.steps
 
 
 def assert_same_outputs(grammar, goal):
     tabled = generate(grammar, goal).outputs
-    plain = untabled(grammar, goal)
-    assert [t for t, _, _ in tabled] == [t for t, _, _ in plain]
-    assert [format_derivation(d) for _, d, _ in tabled] \
-        == [format_derivation(d) for _, d, _ in plain]
-    assert [r for _, _, r in tabled] == [r for _, _, r in plain]
+    plain, _ = untabled(grammar, goal)
+    assert_same(tabled, plain)
+
+
+def assert_same(outputs, others):
+    """Same surfaces, derivations and roots, in the same order."""
+    assert [t for t, _, _ in outputs] == [t for t, _, _ in others]
+    assert [format_derivation(d) for _, d, _ in outputs] \
+        == [format_derivation(d) for _, d, _ in others]
+    assert [r for _, _, r in outputs] == [r for _, _, r in others]
 
 
 def test_fixtures_match_plain_search(grammar, np_goal, sentence_goal):
@@ -64,6 +91,43 @@ def test_random_goals_match_plain_search(grammar):
     rng = random.Random(3)
     for _ in range(20):
         assert_same_outputs(grammar, random_goal(rng))
+
+
+def generate_runs(grammar, goal):
+    """(outputs, steps) of ``generate`` and of its plain search."""
+    result = generate(grammar, goal)
+    return [(result.outputs, result.steps_used), untabled(grammar, goal)]
+
+
+def assert_indexing_changes_no_output(grammar, plain, goal):
+    """``generate``, its plain search and ``parse`` give on ``grammar`` what
+    they give on the unindexed ``plain``, in the same order, never with more
+    steps; returns the (indexed, unindexed) steps of each run."""
+    steps = []
+    for (outputs, used), (others, plain_used) in zip(generate_runs(grammar, goal),
+                                                     generate_runs(plain, goal)):
+        assert_same(outputs, others)
+        assert used <= plain_used
+        steps.append((used, plain_used))
+    cat = goal.get("cat").name
+    for surface in dict.fromkeys(" ".join(t) for t, _, _ in outputs):
+        for root in (cat, None):
+            indexed, unsplit = (parse(g, surface, root_cat=root) for g in (grammar, plain))
+            assert [(s, format_derivation(d)) for s, d in indexed.analyses] \
+                == [(s, format_derivation(d)) for s, d in unsplit.analyses]
+            assert indexed.steps_used <= unsplit.steps_used
+            steps.append((indexed.steps_used, unsplit.steps_used))
+    return steps
+
+
+def test_indexed_rows_match_unindexed_search(grammar, np_goal, sentence_goal):
+    plain = unindexed(grammar)
+    rng = random.Random(5)
+    goals = [ladder_goal(k) for k in range(7)] + [np_goal, sentence_goal] \
+        + [random_goal(rng) for _ in range(12)]
+    steps = [pair for goal in goals
+             for pair in assert_indexing_changes_no_output(grammar, plain, goal)]
+    assert sum(i for i, _ in steps) < sum(u for _, u in steps)
 
 
 # A sister whose solution is more specific than its ground goal: the np
@@ -96,14 +160,14 @@ def test_ladder_steps(grammar):
 
 # Exact step counts: tier-1 catches a change in the search's work.
 @pytest.mark.parametrize("k, steps", enumerate(
-    [251, 469, 904, 1_760, 3_428, 6_701, 13_206, 26_300]))
+    [182, 334, 625, 1_184, 2_255, 4_340, 8_487, 16_898]))
 def test_ladder_steps_exact(grammar, k, steps):
     assert generate(grammar, ladder_goal(k)).steps_used == steps
 
 
 def test_fixture_steps_exact(grammar, np_goal, sentence_goal):
-    assert generate(grammar, np_goal).steps_used == 71
-    assert generate(grammar, sentence_goal).steps_used == 469
+    assert generate(grammar, np_goal).steps_used == 53
+    assert generate(grammar, sentence_goal).steps_used == 334
 
 
 def test_early_outputs_survive(grammar, sentence_goal):
@@ -120,8 +184,8 @@ def test_trace_notes_table_reuse(grammar):
     assert not generate(grammar, goal).trace_log
 
 
-# Figures of the search before the table existed: the baseline and the
-# parser do not use it and must not change.
+# The baseline and the parser do not use the table; the baseline keeps
+# the figures it had before the table existed.
 @pytest.mark.parametrize("mode", [UNIFY_LINK, SUBSTRUCTURE_LINK])
 def test_baseline_unchanged(grammar, np_goal, sentence_goal, mode):
     cfg = GenConfig(step_budget=10 ** 4)
@@ -134,10 +198,20 @@ def test_baseline_unchanged(grammar, np_goal, sentence_goal, mode):
                               "quickly the program generated the sentence"])
 
 
+@pytest.mark.parametrize("mode", [UNIFY_LINK, SUBSTRUCTURE_LINK])
+def test_baseline_tries_every_rule_on_every_pivot(grammar, np_goal, mode):
+    # classical SHDG: the baseline's rows are not split by pivot category;
+    # split rows would make 185 trace lines here, 30 of them for rule 8
+    log = generate_shdg(grammar, np_goal, mode,
+                        GenConfig(step_budget=10 ** 3, trace=True)).trace_log
+    assert len(log) == 127
+    assert sum(line.startswith("hc_complete rule 8 ") for line in log) == 20
+
+
 @pytest.mark.parametrize("sentence, root, steps, analyses", [
-    ("the complex sentence", "np", 60, 1),
-    ("quickly the little prolog program generated the complex sentence", None, 276, 1),
-    ("the little prolog program quickly generated the complex sentence", None, 394, 2),
+    ("the complex sentence", "np", 30, 1),
+    ("quickly the little prolog program generated the complex sentence", None, 135, 1),
+    ("the little prolog program quickly generated the complex sentence", None, 208, 2),
 ])
 def test_parser_unchanged(grammar, sentence, root, steps, analyses):
     result = parse(grammar, sentence, root_cat=root)
