@@ -124,11 +124,12 @@ class Env:
     joined through bound tails, and nothing is copied.  :meth:`_onward`
     is the one walker of such a chain: ``unify`` walks two chains with it
     side by side, only as far as the shorter list goes, and only
-    ``resolve`` flattens one.  Unifying records binds each unbound rest
-    to the features only the other record lists, so a record's rest can
-    be bound to a record with a rest of its own; :meth:`_fold` reads such
-    a chain.  :meth:`_bind_acyclic` makes every binding that needs an
-    occurs check.
+    ``resolve`` flattens one.  :meth:`_merge_records`, the one merge of
+    two records, binds each unbound rest to the features only the other
+    record lists, so a record's rest can be bound to a record with a rest
+    of its own; :meth:`_fold` reads such a chain.  :meth:`_bind_acyclic`
+    makes the bindings that get an occurs check; ``unify``'s rebinding of
+    the variables it walked through gets none.
 
     ``ends`` is the occurs check's memo, kept per binding: a variable
     bound to an atom, or to a list whose items are atoms or variables
@@ -291,7 +292,14 @@ class Env:
         if isinstance(b, Var):
             return b if self._bind_acyclic(b, a) else None
 
-        merged = self._merge(a, b)
+        if isinstance(a, Atom) and isinstance(b, Atom):
+            merged = a if a.name == b.name else None
+        elif isinstance(a, Avm) and isinstance(b, Avm):
+            merged = self._merge_records(a, b)
+        elif isinstance(a, ListVal) and isinstance(b, ListVal):
+            merged = self._merge_lists(a, b)
+        else:
+            return None
         if merged is None:
             return None
         # Rebind the variables we walked through so every reentrant
@@ -310,28 +318,6 @@ class Env:
             v = self.bindings[v.tag]
         return chain, v
 
-    def _merge(self, a: Value, b: Value) -> Optional[Value]:
-        if isinstance(a, Atom) and isinstance(b, Atom):
-            return a if a.name == b.name else None
-        if isinstance(a, Avm) and isinstance(b, Avm):
-            if a.rest is not None or b.rest is not None:
-                return self._merge_rows(self._fold(a), self._fold(b))
-            pairs = list(a.pairs)
-            index = {f: i for i, (f, _) in enumerate(pairs)}
-            for f, bv in b.pairs:
-                if f in index:
-                    u = self.unify(pairs[index[f]][1], bv)
-                    if u is None:
-                        return None
-                    pairs[index[f]] = (f, u)
-                else:
-                    index[f] = len(pairs)
-                    pairs.append((f, bv))
-            return Avm(tuple(pairs))
-        if isinstance(a, ListVal) and isinstance(b, ListVal):
-            return self._merge_lists(a, b)
-        return None
-
     def _fold(self, record: Avm) -> Avm:
         """``record`` with its bound rests folded in by restriction: a feature the
         record lists wins over the rest's, in the rest's place.  The result's rest
@@ -347,38 +333,46 @@ class Env:
             rest = row.rest
         return Avm(pairs, rest)
 
-    def _merge_rows(self, a: Avm, b: Avm) -> Optional[Value]:
-        """Unify two folded records, of which one or both had a rest.  Each
-        unbound rest is bound to the features only the other record lists, and
-        to a fresh rest they share if both have one; a shared rest must list
-        the same features on both sides.  The result keeps a rest, so that it
-        sees what that rest gains later."""
-        if a.rest is None and b.rest is None:  # both rests folded away
-            return self._merge(a, b)
-        if a.rest is None:
+    def _merge_records(self, a: Avm, b: Avm) -> Optional[Avm]:
+        """Unify two records; a record with a rest is folded first.  If a rest
+        is left, ``a`` is made the side with one, and each unbound rest is bound
+        to the features only the other record lists, and to a fresh rest they
+        share if both have one; a shared rest must list the same features on
+        both sides.  The shared features then unify in ``b``'s order.  ``b``'s
+        other features are appended only if no rest is left; else the result
+        keeps a rest, which stands for them and sees what that rest gains later."""
+        if a.rest is not None:
+            a = self._fold(a)
+        if b.rest is not None:
+            b = self._fold(b)
+        if a.rest is None and b.rest is not None:
             a, b = b, a
-        if any(r is not None and r.tag in self.bindings for r in (a.rest, b.rest)):
-            return None  # a rest bound to a non-record
-        only_a = tuple(p for p in a.pairs if b.get(p[0]) is ABSENT)
-        only_b = tuple(p for p in b.pairs if a.get(p[0]) is ABSENT)
-        if b.rest is not None and a.rest.tag == b.rest.tag:
-            if only_a or only_b:
-                return None
-        else:  # bound before the listed features unify, which may reach them
-            rest = None if b.rest is None else self.fresh_var()
-            for side, extra in ((a, only_b), (b, only_a)):
-                if side.rest is not None and not self._bind_acyclic(
-                        side.rest, Avm(extra, rest)):
+        if a.rest is not None:
+            if any(r is not None and r.tag in self.bindings for r in (a.rest, b.rest)):
+                return None  # a rest bound to a non-record
+            only_a = tuple(p for p in a.pairs if b.get(p[0]) is ABSENT)
+            only_b = tuple(p for p in b.pairs if a.get(p[0]) is ABSENT)
+            if b.rest is not None and a.rest.tag == b.rest.tag:
+                if only_a or only_b:
                     return None
-        merged = []
-        for f, v in a.pairs:
-            other = b.get(f)
-            if other is not ABSENT:
-                v = self.unify(v, other)
-                if v is None:
+            else:  # bound before the listed features unify, which may reach them
+                rest = None if b.rest is None else self.fresh_var()
+                for side, extra in ((a, only_b), (b, only_a)):
+                    if side.rest is not None and not self._bind_acyclic(
+                            side.rest, Avm(extra, rest)):
+                        return None
+        pairs = list(a.pairs)
+        index = {f: i for i, (f, _) in enumerate(pairs)}
+        for f, bv in b.pairs:
+            if f in index:
+                u = self.unify(pairs[index[f]][1], bv)
+                if u is None:
                     return None
-            merged.append((f, v))
-        return Avm(tuple(merged), a.rest)  # a.rest: only_b, then b.rest's row
+                pairs[index[f]] = (f, u)
+            elif a.rest is None:
+                index[f] = len(pairs)
+                pairs.append((f, bv))
+        return Avm(tuple(pairs), a.rest)  # a.rest: only_b, then b.rest's row
 
     def _merge_lists(self, a: ListVal, b: ListVal) -> Optional[Value]:
         """Unify two lists item by item through their bound tails.
@@ -802,7 +796,9 @@ def parse_value(text: str) -> Value:
 
 
 def render(value: Value) -> str:
-    """Inverse of parse_value (modulo whitespace and variable names)."""
+    """Inverse of parse_value (modulo whitespace and variable names), except
+    for a record with a rest at the top level: it renders as ``R & [f: v]``,
+    which parse_value rejects, since only a feature's value can hold a rest."""
     if isinstance(value, Atom):
         return value.name
     if isinstance(value, Var):

@@ -41,7 +41,7 @@ def _load_grammar(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
             return load_grammar(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read grammar: {exc}") from exc
     except (AvmSyntaxError, GrammarError) as exc:
         raise InputError(f"bad grammar: {exc}") from exc
@@ -53,7 +53,7 @@ def _load_goal(args):
     try:
         with open(args.sem, encoding="utf-8") as handle:
             value = parse_value(handle.read())
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read semantics: {exc}") from exc
     except AvmSyntaxError as exc:
         raise InputError(f"bad semantics: {exc}") from exc

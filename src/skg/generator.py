@@ -64,13 +64,15 @@ def _sem(env: Env, value):
 def _expansions(env, grammar, goal_cat, sem_raw, sem):
     """The NonSK expansion step for a goal with non-kernel elements.
 
-    Yields ``(rule, mother, daughters)`` for each NonSK rule whose mother
+    Yields ``(plan, mother, daughters)`` for each NonSK rule whose mother
     takes the goal's semantics and whose head daughter has fewer non-kernel
     elements, counted at every depth (the progress check that keeps generation
     terminating); the bindings last until the next expansion is asked for.
+    The plan is the rule's ``(rule, head, sisters)`` entry in ``Tables.nonsk``.
     """
     weight = nonsk_weight(sem, grammar)
-    for rule, _, _ in grammar.tables.nonsk.get(goal_cat, ()):
+    for plan in grammar.tables.nonsk.get(goal_cat, ()):
+        rule, head, _ = plan
         env.tick()
         mark = env.mark()
         fresh = {}  # the daughters are copied only if the mother fits
@@ -79,19 +81,18 @@ def _expansions(env, grammar, goal_cat, sem_raw, sem):
         if mother_sem is not ABSENT and env.unify(mother_sem, sem_raw) is not None:
             env.tick()  # one step for projecting the mother, as in Search.complete
             daughters = [env.instantiate(d, fresh) for d in rule.daughters]
-            head_sem = _sem(env, daughters[rule.head_index])
+            head_sem = _sem(env, daughters[head])
             if nonsk_weight(head_sem, grammar) < weight:
-                yield rule, mother, daughters
+                yield plan, mother, daughters
         env.undo(mark)
 
 
 def _expansion_pivots(search, goal, goal_cat, sem_raw, sem, pos):
-    for rule, mother, daughters in _expansions(search.env, search.g, goal_cat,
-                                               sem_raw, sem):
+    for (rule, head, sisters), mother, daughters in _expansions(
+            search.env, search.g, goal_cat, sem_raw, sem):
         search.note("hc_complete(NonSK) rule", rule.id, "for goal", goal)
-        head = rule.head_index
-        order = [head] + [i for i in range(len(daughters)) if i != head]
-        solved = search.daughters(daughters, order, pos, [None] * len(daughters))
+        solved = search.daughters(daughters, [head, *sisters], pos,
+                                  [None] * len(daughters))
         while (found := (yield solved)) is not DONE:
             yield mother, Node(rule.id, found[0]), found[1]
 
@@ -150,5 +151,5 @@ def nonsk_expansions(grammar: Grammar, goal: Value):
     if sem is ABSENT or is_sk(sem, grammar):
         raise GenerationError("goal has kernel-only semantics")
     return [(rule, [normalize(env.resolve(d)) for d in daughters])
-            for rule, _, daughters in _expansions(
+            for (rule, _, _), _, daughters in _expansions(
                 env, grammar, goal_cat, get(goal, ("sem",)), sem)]

@@ -365,6 +365,20 @@ def test_unify_list_tail_outcomes():
 def test_unify_open_records():
     u = normalize(unify(P("[f: a]"), P("[g: b]")))
     assert u == P("[f: a, g: b]")
+    # the first record's features, then the second's others
+    env = Env()
+    u = env.unify(P("[g: a, f: X]"), P("[h: c, f: b, g: a]"))
+    assert [f for f, _ in u.pairs] == ["g", "f", "h"] and u.rest is None
+    # shared features unify in the second record's order: h, then f fails
+    env = Env()
+    assert env.unify(P("[f: a, g: b, h: c]"), P("[h: c, f: x, g: b]")) is None
+    assert env.steps == 3
+    # a record whose rest is bound to a record folds to a plain record
+    env = Env()
+    row = get(P("[r: R, r: [f: a]]"), ("r",))
+    assert env.unify(Var("R"), P("[g: b]")) is not None
+    u = env.unify(row, P("[h: c, f: a]"))
+    assert u == Avm((("g", Atom("b")), ("f", Atom("a")), ("h", Atom("c"))))
 
 
 def test_overlay_forcing():
@@ -377,6 +391,15 @@ def test_overlay_forcing():
     u2 = normalize(unify(a, b2))
     assert get(u2, ("copy",)) == P("[rel: dog]")
     assert get(u2, ("sem", "mod")) == P("<m>")
+    # a plain record against a record with a rest, on either side: the rest
+    # takes the plain record's other features, in the plain record's order
+    for flip in (False, True):
+        env = Env()
+        row, plain = get(P("[r: R, r: [mod: M]]"), ("r",)), P("[rel: dog, mod: <>, def: +]")
+        u = env.unify(*((plain, row) if flip else (row, plain)))
+        assert u == Avm((("mod", Var("M")),), Var("R"))
+        assert env.resolve(Var("R")) == P("[rel: dog, def: +]")
+        assert env.resolve(u) == P("[rel: dog, def: +, mod: <>]")
 
 
 def test_overlay_rest_excludes_overlaid_features():

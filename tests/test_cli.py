@@ -250,10 +250,13 @@ def test_json_output_is_deterministic(capsys):
                    "[cat: np, sem: [rel: sentence, def: +, mod: <complex | T>]]",
                    "[cat: np]")
       for command in ("generate", "roundtrip", "compare", "analyze")],
+    # a grammar or goal file that is not UTF-8
+    (["check", "--grammar", "GOAL"], b"start s.\n\xff\n"),
+    (["generate", "--grammar", GRAMMAR, "--sem", "GOAL"], b"[cat: np, sem: \xff]"),
 ])
 def test_malformed_input_exits_3_with_one_error_line(capsys, tmp_path, argv, goal):
     if goal is not None:
-        (tmp_path / "goal.sem").write_text(goal)
+        (tmp_path / "goal.sem").write_bytes(goal if isinstance(goal, bytes) else goal.encode())
         argv = [str(tmp_path / "goal.sem") if a == "GOAL" else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == EXIT_INPUT

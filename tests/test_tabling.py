@@ -22,6 +22,7 @@ from skg import (
     generate,
     generate_shdg,
     load_grammar,
+    normalize,
     parse,
     parse_value,
 )
@@ -168,6 +169,22 @@ def test_ladder_steps_exact(grammar, k, steps):
 def test_fixture_steps_exact(grammar, np_goal, sentence_goal):
     assert generate(grammar, np_goal).steps_used == 53
     assert generate(grammar, sentence_goal).steps_used == 334
+
+
+def test_random_goal_step_totals_exact(grammar):
+    """The steps ``generate`` takes on distinct random goals, and ``parse`` on
+    every distinct output, with and without the root category."""
+    rng = random.Random(7)
+    goals = list({normalize(g): g for g in (random_goal(rng) for _ in range(200))}.values())
+    outputs, generated = set(), 0
+    for goal in goals:
+        result = generate(grammar, goal)
+        generated += result.steps_used
+        outputs.update((s, goal.get("cat").name) for s in result.surfaces)
+    parses = [parse(grammar, s, root_cat=root).steps_used
+              for s, cat in sorted(outputs) for root in (None, cat)]
+    assert (len(goals), generated) == (135, 24_251)
+    assert (len(parses), sum(parses)) == (454, 54_979)
 
 
 def test_early_outputs_survive(grammar, sentence_goal):
