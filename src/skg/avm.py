@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Optional, Union
@@ -591,73 +592,45 @@ class AvmSyntaxError(ValueError):
         self.column = column
 
 
-_PUNCT = "[]<>,:|.()"
+#: One token per match: a newline, blanks or a ``%`` comment (no kind,
+#: skipped), a token of the named kind, or one character no token starts with.
+_TOKEN = re.compile(r"""(?P<newline>\n) | [ \t\r]+ | %[^\n]*
+    | (?P<arrow>->) | (?P<punct>[\[\]<>,:|.()]) | (?P<tag>\#\w+)
+    | "(?P<string>[^"\n]*)" | (?P<name>[\w+'-]+) | (?P<bad>.)""", re.VERBOSE)
+_BAD = {"#": "bare '#'", '"': "unterminated string"}
 
 
 def tokenize(text: str):
     """Yield (kind, text, line, column); % starts a line comment."""
-    line, col = 1, 1
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif c in " \t\r":
-            i += 1
-            col += 1
-        elif c == "%":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif text.startswith("->", i):
-            yield ("arrow", "->", line, col)
-            i += 2
-            col += 2
-        elif c in _PUNCT:
-            yield ("punct", c, line, col)
-            i += 1
-            col += 1
-        elif c == "#":
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            if j == i + 1:
-                raise AvmSyntaxError("bare '#'", line, col)
-            yield ("tag", text[i:j], line, col)
-            col += j - i
-            i = j
-        elif c == '"':
-            j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\n":
-                    raise AvmSyntaxError("unterminated string", line, col)
-                j += 1
-            if j >= n:
-                raise AvmSyntaxError("unterminated string", line, col)
-            yield ("string", text[i + 1:j], line, col)
-            col += j - i + 1
-            i = j + 1
-        elif c.isalnum() or c in "_+'-":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] in "_+'-"):
-                j += 1
-            yield ("name", text[i:j], line, col)
-            col += j - i
-            i = j
-        else:
-            raise AvmSyntaxError(f"unexpected character {c!r}", line, col)
-    yield ("eof", "", line, col)
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
+        elif kind == "bad":
+            c = m.group()
+            raise AvmSyntaxError(_BAD.get(c, f"unexpected character {c!r}"),
+                                 line, m.start() - line_start + 1)
+        elif kind:
+            yield (kind, m.group(kind), line, m.start() - line_start + 1)
+    yield ("eof", "", line, len(text) - line_start + 1)
 
 
 class TokenStream:
     def __init__(self, tokens):
         self.tokens = list(tokens)
-        self.pos = 0
+        self.pos = 0  # never past the eof token
 
     def peek(self, ahead: int = 0):
         return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+
+    def at(self, kind, text=None, ahead: int = 0) -> bool:
+        tok = self.peek(ahead) if ahead else self.tokens[self.pos]
+        return tok[0] == kind and (text is None or tok[1] == text)
+
+    def accept(self, kind, text=None):
+        """The next token, consumed, if ``at(kind, text)``; else None."""
+        return self.next() if self.at(kind, text) else None
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -665,17 +638,32 @@ class TokenStream:
             self.pos += 1
         return tok
 
-    def expect(self, kind, text=None):
-        tok = self.next()
-        if tok[0] != kind or (text is not None and tok[1] != text):
-            want = text or kind
-            raise AvmSyntaxError(f"expected {want!r}, found {tok[1]!r}",
-                                 tok[2], tok[3])
-        return tok
+    def expect(self, kind, text=None) -> str:
+        """The next token's text, if ``at(kind, text)``; else a syntax error."""
+        if not self.at(kind, text):
+            self.error(f"expected {text or kind!r}, found {self.peek()[1]!r}")
+        return self.next()[1]
+
+    def path(self) -> list:
+        """A feature path such as ``sem.mod``: a dot joins two names only
+        when it touches both, so the dot that ends ``nonsk sem.mod.`` does
+        not join the next line's keyword to the path."""
+        path = [self.expect("name")]
+        while (self.at("punct", ".") and self.at("name", ahead=1)
+               and _touching(self.peek(-1), self.peek())
+               and _touching(self.peek(), self.peek(1))):
+            self.next()
+            path.append(self.next()[1])
+        return path
 
     def error(self, message):
         tok = self.peek()
         raise AvmSyntaxError(message, tok[2], tok[3])
+
+
+def _touching(a, b) -> bool:
+    """Whether token ``b`` starts where name or punctuation ``a`` ends."""
+    return a[2] == b[2] and a[3] + len(a[1]) == b[3]
 
 
 def _is_var_name(name: str) -> bool:
@@ -717,69 +705,55 @@ class _Parser:
         self.depth = 0  # records and lists open around the current value
 
     def value(self) -> Value:
-        kind, text, line, col = self.stream.peek()
-        if kind == "punct" and text in "[<":
-            if self.depth == MAX_NESTING:
-                raise AvmSyntaxError(
-                    f"records and lists nested deeper than {MAX_NESTING}", line, col)
-            self.depth += 1
-            v = self.record() if text == "[" else self.list_value()
-            self.depth -= 1
-            return v
-        if kind == "tag":
-            self.stream.next()
-            return Var(text)
-        if kind == "name":
-            self.stream.next()
+        s = self.stream
+        if s.at("name"):
+            text = s.next()[1]
             if text == "_":
                 return Var(f"_A{next(self.fresh)}")
-            if _is_var_name(text):
-                return Var(text)
-            return Atom(text)
-        self.stream.error("expected a value")
+            return Var(text) if _is_var_name(text) else Atom(text)
+        if s.at("tag"):
+            return Var(s.next()[1])
+        if not (s.at("punct", "[") or s.at("punct", "<")):
+            s.error("expected a value")
+        if self.depth == MAX_NESTING:
+            s.error(f"records and lists nested deeper than {MAX_NESTING}")
+        self.depth += 1
+        v = self.record() if s.at("punct", "[") else self.list_value()
+        self.depth -= 1
+        return v
+
+    def sequence(self, item) -> list:
+        """``item()`` once, and again after each comma."""
+        items = [item()]
+        while self.stream.accept("punct", ","):
+            items.append(item())
+        return items
 
     def record(self) -> Avm:
         self.stream.expect("punct", "[")
-        collected: list = []
-        if not (self.stream.peek()[0] == "punct" and self.stream.peek()[1] == "]"):
-            while True:
-                where = self.stream.peek()[2:]
-                path = self.feature_path()
-                self.stream.expect("punct", ":")
-                v = self.value()
-                for feature in reversed(path[1:]):
-                    v = Avm(((feature, v),))
-                collected.append((path[0], v, where))
-                if self.stream.peek()[0] == "punct" and self.stream.peek()[1] == ",":
-                    self.stream.next()
-                    continue
-                break
+        written = [] if self.stream.at("punct", "]") else self.sequence(self.feature)
         self.stream.expect("punct", "]")
-        return _record(collected)
+        return _record(written)
 
-    def feature_path(self):
-        path = [self.stream.expect("name")[1]]
-        while (self.stream.peek()[0] == "punct" and self.stream.peek()[1] == "."
-               and self.stream.peek(1)[0] == "name"):
-            self.stream.next()
-            path.append(self.stream.expect("name")[1])
-        return path
+    def feature(self):
+        """One ``path: value`` of a record, as (feature, value, position)."""
+        where = self.stream.peek()[2:]
+        path = self.stream.path()
+        self.stream.expect("punct", ":")
+        v = self.value()
+        for feature in reversed(path[1:]):
+            v = Avm(((feature, v),))
+        return path[0], v, where
 
     def list_value(self) -> ListVal:
         self.stream.expect("punct", "<")
-        items = []
-        tail = None
-        if not (self.stream.peek()[0] == "punct" and self.stream.peek()[1] == ">"):
-            items.append(self.value())
-            while self.stream.peek()[0] == "punct" and self.stream.peek()[1] == ",":
-                self.stream.next()
-                items.append(self.value())
-            if self.stream.peek()[0] == "punct" and self.stream.peek()[1] == "|":
-                self.stream.next()
-                t = self.value()
-                if not isinstance(t, Var):
+        items, tail = [], None
+        if not self.stream.at("punct", ">"):
+            items = self.sequence(self.value)
+            if self.stream.accept("punct", "|"):
+                tail = self.value()
+                if not isinstance(tail, Var):
                     self.stream.error("list tail must be a variable")
-                tail = t
         self.stream.expect("punct", ">")
         return ListVal(tuple(items), tail)
 
@@ -787,10 +761,8 @@ class _Parser:
 def parse_value(text: str) -> Value:
     """Parse a single value from the textual AVM syntax."""
     stream = TokenStream(tokenize(text))
-    parser = _Parser(stream, itertools.count())
-    v = parser.value()
-    if stream.peek()[0] == "punct" and stream.peek()[1] == ".":
-        stream.next()
+    v = _Parser(stream, itertools.count()).value()
+    stream.accept("punct", ".")
     stream.expect("eof")
     return v
 

@@ -8,10 +8,10 @@ starts a line comment::
     rule 1a nonsk head 2: [cat: s, ...] -> [cat: adv, ...], [cat: s, ...].
     lex "sentence": [cat: n, lex: sentence, sem: [rel: sentence]].
 
-Feature paths may be written dotted (``sem.mod: X``) and a repeated
-feature merges with the earlier value.  A variable written with a record
-(``sem: S, sem: [mod: M]``) becomes the record's rest: the value is S
-restricted by ``mod``, with ``mod: M`` in its place (see
+Feature paths may be written dotted, without spaces (``sem.mod: X``), and
+a repeated feature merges with the earlier value.  A variable written with
+a record (``sem: S, sem: [mod: M]``) becomes the record's rest: the value
+is S restricted by ``mod``, with ``mod: M`` in its place (see
 :class:`skg.avm.Avm`).
 """
 
@@ -42,7 +42,7 @@ from .avm import (
 SK = "SK"
 NONSK = "NonSK"
 
-_KEYWORDS = {"start", "nonsk", "rule", "lex", "head", "sk"}
+_KEYWORDS = {"start", "nonsk", "rule", "lex"}
 LOCAL = "local-success"  # a completion row's entry for unifying pivot and goal
 
 
@@ -288,18 +288,16 @@ def load_grammar(text: str) -> Grammar:
     seen_ids = set()
     seen_entries = set()
 
-    while stream.peek()[0] != "eof":
-        kind, word, line, col = stream.peek()
-        if kind != "name" or word not in _KEYWORDS:
-            raise AvmSyntaxError(f"expected a statement keyword, found {word!r}",
-                                 line, col)
+    while not stream.at("eof"):
+        _, word, line, _ = stream.peek()
+        if not (stream.at("name") and word in _KEYWORDS):
+            stream.error(f"expected a statement keyword, found {word!r}")
         stream.next()
         if word == "start":
-            tok = stream.expect("name")
-            start = tok[1]
+            start = stream.expect("name")
             stream.expect("punct", ".")
         elif word == "nonsk":
-            path = _read_path(stream)
+            path = stream.path()
             stream.expect("punct", ".")
             if path[0] != "sem":
                 raise GrammarError(
@@ -316,13 +314,18 @@ def load_grammar(text: str) -> Grammar:
                 raise GrammarError(f"duplicate rule id {rule.id!r} (line {line})")
             seen_ids.add(rule.id)
             rules.append(rule)
-        elif word == "lex":
-            surface_tok = stream.next()
-            if surface_tok[0] not in ("string", "name"):
-                raise AvmSyntaxError("expected a surface form", *surface_tok[2:])
-            surface = surface_tok[1].lower()
+        else:
+            if not (stream.at("string") or stream.at("name")):
+                stream.error("expected a surface form")
+            _, surface, _, _ = stream.next()
+            surface = surface.lower()
             if not surface:
                 raise GrammarError(f"empty surface form (line {line})")
+            # parse splits its input at whitespace, so it could not read this entry
+            if surface.split() != [surface]:
+                raise GrammarError(
+                    f"lexical entry {surface!r} has whitespace in its surface form "
+                    f"(line {line})")
             stream.expect("punct", ":")
             desc = _Parser(stream, fresh).value()
             stream.expect("punct", ".")
@@ -336,8 +339,6 @@ def load_grammar(text: str) -> Grammar:
                 raise GrammarError(f"duplicate lexical entry {surface!r} (line {line})")
             seen_entries.add(key)
             lexicon.append(LexEntry(surface, desc))
-        else:  # pragma: no cover - keyword set is exhaustive
-            raise AvmSyntaxError(f"unexpected keyword {word!r}", line, col)
 
     if start is None:
         start = rules[0].mother_cat if rules else "s"
@@ -360,46 +361,33 @@ def load_grammar(text: str) -> Grammar:
     return Grammar(final_rules, lexicon, nonsk_paths, start)
 
 
-def _read_path(stream):
-    path = [stream.expect("name")[1]]
-    while (stream.peek()[0] == "punct" and stream.peek()[1] == "."
-           and stream.peek(1)[0] == "name"
-           and stream.peek(1)[1] not in _KEYWORDS):
-        stream.next()
-        path.append(stream.expect("name")[1])
-    return path
-
-
 def _read_rule(stream, fresh, line) -> Rule:
-    rid = stream.next()
-    if rid[0] != "name":
-        raise AvmSyntaxError("expected a rule id", *rid[2:])
-    declared = None
-    if stream.peek()[0] == "name" and stream.peek()[1] in ("nonsk", "sk"):
-        declared = NONSK if stream.next()[1] == "nonsk" else SK
+    if not stream.at("name"):
+        stream.error("expected a rule id")
+    rid = stream.expect("name")
+    declared = (NONSK if stream.accept("name", "nonsk")
+                else SK if stream.accept("name", "sk") else None)
     stream.expect("name", "head")
-    idx_tok = stream.expect("name")
-    if not idx_tok[1].isdigit():
-        raise AvmSyntaxError("head index must be a number", *idx_tok[2:])
-    head_index = int(idx_tok[1]) - 1
+    _, index, *where = stream.peek()
+    stream.expect("name")
+    if not index.isdecimal():
+        raise AvmSyntaxError("head index must be a number", *where)
+    head_index = int(index) - 1
     stream.expect("punct", ":")
     parser = _Parser(stream, fresh)
     mother = parser.value()
     stream.expect("arrow")
-    daughters = [parser.value()]
-    while stream.peek()[0] == "punct" and stream.peek()[1] == ",":
-        stream.next()
-        daughters.append(parser.value())
+    daughters = parser.sequence(parser.value)
     stream.expect("punct", ".")
     if not 0 <= head_index < len(daughters):
         raise GrammarError(
-            f"rule {rid[1]}: head index {head_index + 1} out of range "
+            f"rule {rid}: head index {head_index + 1} out of range "
             f"for {len(daughters)} daughters (line {line})")
     for d, desc in enumerate([mother] + daughters):
         if not isinstance(get(desc, ("cat",)), Atom):
             raise GrammarError(
-                f"rule {rid[1]}: node {d} lacks a category atom (line {line})")
-    return Rule(rid[1], mother, tuple(daughters), head_index, declared, None)
+                f"rule {rid}: node {d} lacks a category atom (line {line})")
+    return Rule(rid, mother, tuple(daughters), head_index, declared, None)
 
 
 def serialize_grammar(g: Grammar) -> str:

@@ -83,9 +83,14 @@ def test_repeated_features_keep_first_order_and_report_the_later_one():
 
 
 def test_parse_errors():
-    for bad in ("[a b]", "<a | b>", "[f:", "#", '"unterminated'):
+    for bad in ("[a b]", "<a | b>", "[f:", "#", '"unterminated', "[a: b % note"):
         with pytest.raises(AvmSyntaxError):
             P(bad)
+    # the end of input is where the text ends, also after a trailing comment
+    with pytest.raises(AvmSyntaxError, match=r"found '' \(line 1, column 13\)"):
+        P("[a: b % note")
+    with pytest.raises(AvmSyntaxError, match=r"\(line 2, column 15\)"):
+        P("% only\n   % a comment")
 
 
 def test_nesting_is_bounded():

@@ -1,17 +1,25 @@
 """End-to-end checks of the command-line interface and its exit codes."""
 
+import contextlib
+import io
 import json
 import os
+import pathlib
+import re
+import shlex
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from skg import AvmSyntaxError, GrammarError, load_grammar, parse_value
 from skg.cli import EXIT_BUDGET, EXIT_FAIL, EXIT_INPUT, EXIT_OK, main
 from skg.search import default_budget
 from test_search import CYCLIC
 
 HERE = os.path.dirname(__file__)
+ROOT = os.path.join(HERE, os.pardir)
 GRAMMAR = os.path.join(HERE, os.pardir, "grammars", "paper.skg")
 NP_SEM = os.path.join(HERE, os.pardir, "grammars", "np.sem")
 SENTENCE_SEM = os.path.join(HERE, os.pardir, "grammars", "sentence.sem")
@@ -253,6 +261,11 @@ def test_json_output_is_deterministic(capsys):
     # a grammar or goal file that is not UTF-8
     (["check", "--grammar", "GOAL"], b"start s.\n\xff\n"),
     (["generate", "--grammar", GRAMMAR, "--sem", "GOAL"], b"[cat: np, sem: \xff]"),
+    # a surface with whitespace, which parse would split into two tokens
+    *[(argv, 'rule 1 head 1: [cat: np, sem: S] -> [cat: n, sem: S].\n'
+             'lex "ice cream": [cat: n, sem: [rel: icecream]].\n')
+      for argv in (["check", "--grammar", "GOAL"],
+                   ["parse", "ice cream", "--grammar", "GOAL"])],
 ])
 def test_malformed_input_exits_3_with_one_error_line(capsys, tmp_path, argv, goal):
     if goal is not None:
@@ -482,3 +495,80 @@ def test_json_output_does_not_depend_on_the_hash_seed():
     assert outputs[0] == outputs[1]
     assert outputs[0].count('"derivations"') == 2 and outputs[0].count('"analyses"') == 2
     assert outputs[0].count('"partial_outputs"') == 2
+
+
+def _quick_start():
+    """The ``skg`` commands of README's quick start, each with the exit status
+    its ``# exits N`` note gives, or 0."""
+    readme = pathlib.Path(ROOT, "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Quick start", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    for line in block.replace("\\\n", " ").splitlines():
+        if line.startswith("skg "):
+            note = re.search(r"# exits (\d)", line)
+            yield shlex.split(line, comments=True)[1:], int(note[1]) if note else EXIT_OK
+
+
+def test_readme_quick_start_exit_statuses(capsys, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    commands = list(_quick_start())
+    assert {argv[0] for argv, _ in commands} == {
+        "generate", "parse", "roundtrip", "compare", "analyze", "check"}
+    for argv, status in commands:
+        code, _, err = run(capsys, *argv)
+        assert code == status, (argv, err)
+
+
+FUZZ_FILES = {name: pathlib.Path(ROOT, "grammars", name).read_text(encoding="utf-8")
+              for name in ("paper.skg", "np.sem", "sentence.sem")}
+FUZZ_PIECES = [*"[]<>,:|.()%\"#\n", "->", " ", "start", "nonsk", "rule", "lex", "head",
+               "sk", "_"]
+
+
+@st.composite
+def _mutated(draw):
+    """A bundled file with spans deleted or duplicated and DSL pieces inserted."""
+    name = draw(st.sampled_from(sorted(FUZZ_FILES)))
+    text = FUZZ_FILES[name]
+    for _ in range(draw(st.integers(1, 4))):
+        i, n = draw(st.integers(0, len(text))), draw(st.integers(1, 30))
+        edit = draw(st.sampled_from(["delete", "duplicate", "insert"]))
+        if edit == "delete":
+            text = text[:i] + text[i + n:]
+        elif edit == "duplicate":
+            text = text[:i] + text[i:i + n] + text[i:]
+        else:
+            text = text[:i] + draw(st.sampled_from(FUZZ_PIECES)) + text[i:]
+    return name, text, draw(st.integers(0, 5)) == 0
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None, database=None)
+@given(case=_mutated())
+def test_fuzzed_files_load_or_exit_3_with_one_error_line(fuzz_dir, case):
+    name, text, through_cli = case
+    for load in (load_grammar, parse_value):
+        try:
+            load(text)
+        except (AvmSyntaxError, GrammarError):
+            pass
+    if not through_cli:
+        return
+    path = fuzz_dir / name
+    path.write_text(text, encoding="utf-8")
+    budget = ["--budget", "2000"]
+    runs = ([["check", "--grammar", str(path)],
+             ["generate", "--grammar", str(path), "--sem", NP_SEM, *budget]]
+            if name.endswith(".skg") else
+            [["generate", "--grammar", GRAMMAR, "--sem", str(path), *budget]])
+    for argv in runs:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (EXIT_OK, EXIT_FAIL, EXIT_BUDGET, EXIT_INPUT), argv
+        if code == EXIT_INPUT:
+            assert err.getvalue().startswith("error: ") \
+                and err.getvalue().count("\n") == 1, err.getvalue()

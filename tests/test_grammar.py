@@ -166,3 +166,40 @@ def test_classify_rule_directly():
         1,
     )
     assert classify_rule(grow, [("mod",)]) == (NONSK, ("mod",))
+
+
+def test_nonsk_path_through_feature_named_like_a_dsl_word():
+    # a path part may be any name: the statement's final dot does not touch
+    # the next statement, so it never joins it to the path
+    g = load_grammar(MINI.replace("nonsk sem.mod.", "nonsk sem.head.") + (
+        "rule r2 head 2: [cat: x, sem: S, sem: [head: <M | Hs>]]"
+        " -> [cat: y, sem: M], [cat: x, sem: S, sem: [head: Hs]].\n"))
+    assert g.nonsk_paths == [("head",)]
+    assert [(r.id, r.sk_class, r.nonsk_path) for r in g.rules] == [
+        ("r1", SK, None), ("r2", NONSK, ("head",))]
+    for path in ("adj.lex", "x.sk", "start", "rule"):
+        g = load_grammar(f"nonsk sem.{path}.\n" + MINI)
+        assert g.nonsk_paths == [tuple(path.split(".")), ("mod",)]
+
+
+@pytest.mark.parametrize("statement", ["sk.", "head."])
+def test_rule_words_do_not_start_a_statement(statement):
+    with pytest.raises(skg.AvmSyntaxError,
+                       match=f"expected a statement keyword, found '{statement[:-1]}'"):
+        load_grammar(MINI + statement + "\n")
+
+
+def test_dotted_path_has_no_spaces():
+    # a dot joins two names only when it touches both
+    assert parse_value("[sem.mod: x]") == parse_value("[sem: [mod: x]]")
+    for spaced in ("[sem . mod: x]", "[sem .mod: x]", "[sem. mod: x]"):
+        with pytest.raises(skg.AvmSyntaxError, match=r"expected ':', found '\.'"):
+            parse_value(spaced)
+    with pytest.raises(GrammarError, match="nonsk path must go below 'sem'"):
+        load_grammar("nonsk sem. mod.\n" + MINI)
+
+
+def test_head_index_must_be_a_decimal_number():
+    for index in ("one", "²"):  # '²' is a digit that int() rejects
+        with pytest.raises(skg.AvmSyntaxError, match="head index must be a number"):
+            load_grammar(MINI.replace("head 1", f"head {index}"))
