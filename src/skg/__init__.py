@@ -35,6 +35,7 @@ from .kernel import (
     decompose,
     is_sk,
     lexically_grounded,
+    nonsk_weight,
     normalize_nonsk,
     sk_of,
 )
@@ -48,7 +49,7 @@ from .search import (
     format_derivation,
     yield_tokens,
 )
-from .generator import GenerationError, generate, nonsk_expansions, nonsk_weight
+from .generator import GenerationError, generate, nonsk_expansions
 from .baseline import (
     SUBSTRUCTURE_LINK,
     UNIFY_LINK,

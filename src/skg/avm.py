@@ -525,12 +525,15 @@ def get(value: Value, path) -> object:
 def put(value: Value, path, new: Value) -> Value:
     """Copy of ``value`` with the feature path set to ``new``.
 
-    Intermediate records are created as needed; non-record positions on
-    the way are an error.
+    Intermediate records are created as needed; an integer step picks a
+    list item; other non-record positions on the way are an error.
     """
     if not path:
         return new
     f, rest = path[0], path[1:]
+    if isinstance(f, int) and isinstance(value, ListVal):
+        items = value.items
+        return ListVal(items[:f] + (put(items[f], rest, new),) + items[f + 1:], value.tail)
     if value is ABSENT:
         value = Avm(())
     if not isinstance(value, Avm):

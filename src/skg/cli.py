@@ -15,9 +15,9 @@ import sys
 
 from .avm import ABSENT, Atom, Avm, AvmSyntaxError, get, normalize, parse_value, render
 from .baseline import SUBSTRUCTURE_LINK, UNIFY_LINK, generate_shdg
-from .generator import generate, nonsk_expansions, nonsk_weight
+from .generator import generate, nonsk_expansions
 from .grammar import GrammarError, load_grammar, unary_cycles
-from .kernel import decompose, is_sk, lexically_grounded
+from .kernel import decompose, is_sk, lexically_grounded, nonsk_weight
 from .parser import ParseError, parse, roundtrip
 from .search import (GenConfig, GenerationError, check_goal, default_budget,
                      format_derivation)

@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .avm import ABSENT, Avm, Env, ListVal, Value, get, normalize, variables
+from .avm import ABSENT, Avm, Env, Value, get, normalize, variables
 from .grammar import Grammar
-from .kernel import decompose, is_sk, sk_of
+from .kernel import decompose, is_sk, nonsk_weight, sk_of
 from .search import (
     DONE,
     GenConfig,
@@ -36,24 +36,6 @@ from .search import (
     distinct_outputs,
     goal_category,
 )
-
-
-def nonsk_weight(sem: Value, grammar: Grammar) -> int:
-    """Total element count of non-kernel lists, at every depth of sem."""
-    if sem is ABSENT:
-        return 0
-    total = 0
-    if isinstance(sem, Avm):
-        for path in grammar.nonsk_paths:
-            v = get(sem, path)
-            if isinstance(v, ListVal):
-                total += len(v.items)
-        for _, v in sem.pairs:
-            total += nonsk_weight(v, grammar)
-    elif isinstance(sem, ListVal):
-        for item in sem.items:
-            total += nonsk_weight(item, grammar)
-    return total
 
 
 def _sem(env: Env, value):

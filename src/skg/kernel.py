@@ -4,14 +4,17 @@ The generator distinguishes two kinds of semantic information: kernel
 information, which some lexical entry can supply, and non-kernel
 information, which only grammar rules introduce.  Non-kernel positions
 are the declared list-valued paths of the grammar (the modifier list in
-the bundled grammar).  Decomposition strips the top-level non-kernel
-lists of a structure; embedded structures are not touched here because
-they are inspected again when they become goals of their own.
+the bundled grammar), found in a value by one walk, :func:`nonsk_sites`.
+Decomposition strips the top-level non-kernel lists of a structure;
+embedded structures are not touched here because they are inspected
+again when they become goals of their own.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
+from itertools import islice
 
 from .avm import ABSENT, Avm, ListVal, Value, get, normalize, put, subsumes
 from .grammar import Grammar
@@ -23,18 +26,43 @@ class Decomposition:
     nonsk_items: tuple  # tuple[(path, element), ...] in declaration order
 
 
+def nonsk_sites(value: Value, grammar: Grammar):
+    """Yield ``(where, path, at)`` for each declared non-kernel path of each
+    record in ``value``: ``where`` locates the record (features, and item
+    indices inside lists), ``at`` is what it holds at ``path`` or ``ABSENT``.
+    Records come in reading order, at every depth, a record before those in it.
+    """
+    paths = grammar.nonsk_paths
+    stack = [((), value)] if type(value) in (Avm, ListVal) else []
+    while stack:
+        where, v = stack.pop()
+        if type(v) is Avm:
+            for path in paths:
+                yield where, path, get(v, path)
+            steps = v.pairs
+        else:
+            steps = tuple(enumerate(v.items))
+        # atoms hold no records: not pushing them spares their locations
+        for step, x in reversed(steps):
+            if type(x) in (Avm, ListVal):
+                stack.append((where + (step,), x))
+
+
+def _top_sites(sem: Value, grammar: Grammar):
+    """The sites of ``sem``'s own record: the walk's first ones."""
+    return islice(nonsk_sites(sem, grammar),
+                  len(grammar.nonsk_paths) if isinstance(sem, Avm) else 0)
+
+
+def nonsk_weight(sem: Value, grammar: Grammar) -> int:
+    """Total element count of non-kernel lists, at every depth of sem."""
+    return sum(len(at.items) for _, _, at in nonsk_sites(sem, grammar)
+               if isinstance(at, ListVal))
+
+
 def is_sk(sem: Value, grammar: Grammar) -> bool:
     """True iff every declared non-kernel path is absent or empty here."""
-    if sem is ABSENT:
-        return True
-    for path in grammar.nonsk_paths:
-        v = get(sem, path)
-        if v is ABSENT:
-            continue
-        if isinstance(v, ListVal) and not v.items and v.tail is None:
-            continue
-        return False
-    return True
+    return all(at is ABSENT or at == ListVal(()) for _, _, at in _top_sites(sem, grammar))
 
 
 def decompose(sem: Value, grammar: Grammar) -> Decomposition:
@@ -46,18 +74,13 @@ def decompose(sem: Value, grammar: Grammar) -> Decomposition:
     """
     kernel = sem
     items = []
-    for path in grammar.nonsk_paths:
-        v = get(sem, path)
-        if v is ABSENT:
-            if isinstance(kernel, Avm):
-                kernel = put(kernel, path, ListVal((), None))
-            continue
-        if not isinstance(v, ListVal):
-            raise ValueError(
-                f"non-kernel path {'.'.join(path)} holds a non-list value")
-        for element in v.items:
-            items.append((path, element))
-        kernel = put(kernel, path, ListVal((), None))
+    for _, path, at in _top_sites(sem, grammar):
+        if at is not ABSENT:
+            if not isinstance(at, ListVal):
+                raise ValueError(
+                    f"non-kernel path {'.'.join(path)} holds a non-list value")
+            items.extend((path, element) for element in at.items)
+        kernel = put(kernel, path, ListVal(()))
     return Decomposition(normalize(kernel), tuple(items))
 
 
@@ -73,33 +96,21 @@ def sk_of(sem, candidate: Value, grammar: Grammar) -> bool:
 
 
 def normalize_nonsk(value: Value, grammar: Grammar) -> Value:
-    """Recursively take the minimal reading of non-kernel features.
+    """Take the minimal reading of non-kernel features, at every depth.
 
     Used for comparisons (round-trip checks, lexical grounding): an
     absent non-kernel feature counts as the empty list, and an
     open-tailed non-kernel list (a parse that would accept further
     modifiers) counts as the listed elements only.
     """
-    return normalize(_minimal(value, grammar.nonsk_paths))
-
-
-def _minimal(v: Value, paths) -> Value:
-    """``normalize_nonsk``'s walk (not a closure; see ``skg.avm._copy``)."""
-    if isinstance(v, Avm):
-        v = Avm(tuple((f, _minimal(x, paths)) for f, x in v.pairs), v.rest)
-        for path in paths:
-            at = get(v, path)
-            if at is ABSENT:
-                try:
-                    v = put(v, path, ListVal((), None))
-                except ValueError:
-                    pass
-            elif isinstance(at, ListVal) and at.tail is not None:
-                v = put(v, path, ListVal(at.items, None))
-        return v
-    if isinstance(v, ListVal):
-        return ListVal(tuple(_minimal(x, paths) for x in v.items), v.tail)
-    return v
+    out = value
+    for where, path, at in nonsk_sites(value, grammar):
+        if at is ABSENT:
+            with suppress(ValueError):  # the path may run into a non-record
+                out = put(out, where + path, ListVal(()))
+        elif isinstance(at, ListVal) and at.tail is not None:
+            out = put(out, where + path, ListVal(at.items, None))
+    return normalize(out)
 
 
 def lexically_grounded(sem: Value, grammar: Grammar) -> bool:

@@ -86,7 +86,8 @@ def check_output(grammar: Grammar, tokens, root_cat: str,
 
     Coherence: some parse of the string means no more than the input.
     Completeness: some parse means no less.  Both must hold for a single
-    analysis for the output to count as clean.
+    analysis for the output to count as clean; a parse that runs out of
+    budget without one gives ``["budget-exhausted"]``.
     """
     if input_sem is ABSENT:
         return []
@@ -95,7 +96,7 @@ def check_output(grammar: Grammar, tokens, root_cat: str,
     except ParseError:
         return ["no-parse"]
     if not result.analyses:
-        return ["no-parse"]
+        return ["budget-exhausted" if result.exhausted_budget else "no-parse"]
     want = normalize_nonsk(input_sem, grammar)
     best = None
     for sem, _ in result.analyses:
@@ -115,6 +116,8 @@ def check_output(grammar: Grammar, tokens, root_cat: str,
             return []
         if best is None or len(failures) < len(best):
             best = failures
+    if result.exhausted_budget:
+        return ["budget-exhausted"]
     return best if best is not None else ["no-semantics"]
 
 
@@ -145,6 +148,8 @@ def roundtrip(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> RoundTrip
             continue
         checked.add(tokens)
         failures = check_output(grammar, tokens, root_cat, input_sem, cfg)
+        if failures == ["budget-exhausted"]:  # as for generation: no verdict
+            return RoundTripReport(False, "budget-exhausted", entries, result)
         coherent = not {"incoherent", "no-parse"}.intersection(failures)
         complete = not {"incomplete", "no-parse", "no-semantics"}.intersection(failures)
         entries.append((" ".join(tokens), coherent, complete))

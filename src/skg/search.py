@@ -40,6 +40,7 @@ from typing import Optional
 from .avm import (ABSENT, Atom, Avm, BudgetExhausted, Env, ListVal, Value,
                   get, normalize, render, variables)
 from .grammar import LOCAL, LexEntry
+from .kernel import nonsk_sites
 
 DEFAULT_BUDGET = 10 ** 6
 DONE = object()  # sent to a search when the sub-search it pulled is exhausted
@@ -155,18 +156,14 @@ def check_goal(goal: Value, grammar) -> None:
             if value.rest is not None:
                 raise GenerationError(
                     f"goal repeats feature {'.'.join(path)} with a variable")
-            if path[:1] == ("sem",):
-                for nonsk in grammar.nonsk_paths:
-                    at = get(value, nonsk)
-                    if at is not ABSENT and not (isinstance(at, ListVal)
-                                                 and at.tail is None):
-                        where = ".".join(path[1:] + nonsk)
-                        what = "an open list" if isinstance(at, ListVal) \
-                            else "a non-list value"
-                        raise GenerationError(f"non-kernel path {where} holds {what}")
             stack.extend((path + (f,), v) for f, v in reversed(value.pairs))
         elif isinstance(value, ListVal):
-            stack.extend((path, v) for v in value.items)
+            stack.extend((path, v) for v in reversed(value.items))
+    for where, path, at in nonsk_sites(get(goal, ("sem",)), grammar):
+        if at is not ABSENT and not (isinstance(at, ListVal) and at.tail is None):
+            where = ".".join(f for f in where + path if isinstance(f, str))
+            what = "an open list" if isinstance(at, ListVal) else "a non-list value"
+            raise GenerationError(f"non-kernel path {where} holds {what}")
 
 
 def drive(search):

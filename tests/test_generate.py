@@ -201,6 +201,9 @@ def test_generation_error_on_missing_cat(grammar):
     ("[cat: s, sem: [mod: <>, pred: generate, arg1: [def: +, mod: <>, rel: a],"
      " arg2: [def: +, mod: <[mod: M]>, rel: b]]]",
      "non-kernel path arg2.mod.mod holds a non-list value"),
+    # the first fault in reading order: the first list item's
+    ("[cat: np, sem: [rel: sentence, def: +, mod: <[arg: [mod: a]], [mod: b]>]]",
+     "non-kernel path mod.arg.mod holds a non-list value"),
 ])
 def test_every_generator_rejects_a_malformed_goal(grammar, goal, message):
     goal = P(goal)

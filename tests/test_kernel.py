@@ -1,22 +1,83 @@
 """Kernel / non-kernel decomposition tests."""
 
+import ast
+import pathlib
 import random
 
 import pytest
 
-from skg import get, normalize, parse_value
+import skg
+from skg import ABSENT, get, load_grammar, normalize, parse_value
 from skg.kernel import (
     decompose,
     is_sk,
     lexically_grounded,
+    nonsk_sites,
+    nonsk_weight,
     normalize_nonsk,
     sk_of,
 )
 from oracle import random_goal, recompose
 
+TWO_PATHS = "nonsk sem.a.b.\nnonsk sem.mod.\n"
+
 
 def P(text):
     return parse_value(text)
+
+
+def test_nonsk_sites_reach_records_inside_list_items(grammar):
+    sem = P("[rel: r, mod: <[rel: s, mod: <a | T>], b>, arg: [mod: <>]]")
+    assert list(nonsk_sites(sem, grammar)) == [
+        ((), ("mod",), get(sem, ("mod",))),
+        (("mod", 0), ("mod",), P("<a | T>")),
+        (("arg",), ("mod",), P("<>")),
+    ]
+    assert list(nonsk_sites(P("<[mod: <c>], d>"), grammar)) == [
+        ((0,), ("mod",), P("<c>"))]
+    assert list(nonsk_sites(P("atom"), grammar)) == []
+
+
+def test_nonsk_sites_of_a_two_segment_path():
+    g = load_grammar(TWO_PATHS)
+    sem = P("[a: [b: <x>], mod: <[a: y]>, c: [a: <w>]]")
+    assert list(nonsk_sites(sem, g)) == [
+        ((), ("a", "b"), P("<x>")),
+        ((), ("mod",), P("<[a: y]>")),
+        (("a",), ("a", "b"), ABSENT),        # missing
+        (("a",), ("mod",), ABSENT),
+        (("mod", 0), ("a", "b"), ABSENT),    # runs into the atom y
+        (("mod", 0), ("mod",), ABSENT),
+        (("c",), ("a", "b"), ABSENT),        # runs into a list
+        (("c",), ("mod",), ABSENT),
+    ]
+
+
+def test_weight_split_and_minimal_reading_under_two_paths():
+    g = load_grammar(TWO_PATHS)
+    sem = P("[a: [b: <x, y>], mod: <[a: [b: <z | T>]], w>, c: [a: v]]")
+    assert nonsk_weight(sem, g) == 5
+    assert not is_sk(sem, g)
+    d = decompose(sem, g)
+    assert d.kernel == normalize(P("[a: [b: <>], c: [a: v], mod: <>]"))
+    assert d.nonsk_items == (
+        (("a", "b"), P("x")), (("a", "b"), P("y")),
+        (("mod",), P("[a: [b: <z | T>]]")), (("mod",), P("w")))
+    assert normalize_nonsk(sem, g) == normalize(P(
+        "[a: [a: [b: <>], b: <x, y>, mod: <>], c: [a: v, mod: <>],"
+        " mod: <[a: [a: [b: <>], b: <z>, mod: <>], mod: <>], w>]"))
+
+
+def test_only_the_kernel_module_reads_the_nonsk_paths():
+    # The non-kernel view is skg.kernel's walk; besides it, only the loader
+    # and serializer (grammar.py) and `skg check`'s report (cli.py) may
+    # read Grammar.nonsk_paths, so a change to what the paths mean (paths
+    # inferred from the rules, set-valued paths) stays in one module.
+    readers = {
+        path.name for path in pathlib.Path(skg.__file__).parent.glob("*.py")
+        if any(isinstance(node, ast.Attribute) and node.attr == "nonsk_paths"
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))))}
+    assert readers <= {"kernel.py", "grammar.py", "cli.py"}
 
 
 def test_is_sk_cases(grammar):

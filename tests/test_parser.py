@@ -2,6 +2,7 @@
 
 import pytest
 
+import skg.parser
 from skg import (
     GenConfig,
     ParseError,
@@ -82,15 +83,21 @@ def test_parse_respects_root_cat(grammar):
     assert not parse(grammar, "the sentence", root_cat="s").analyses
 
 
-def test_parse_budget(grammar):
+def test_parse_budget(grammar, np_goal):
     result = parse(grammar, "the complex sentence", GenConfig(step_budget=3),
                    root_cat="np")
     assert result.exhausted_budget
+    # a check whose parse runs out of budget is not a failed parse
+    sem = get(np_goal, ("sem",))
+    assert check_output(grammar, ("the", "complex", "sentence"), "np", sem,
+                        GenConfig(step_budget=5)) == ["budget-exhausted"]
 
 
 def test_check_output_clean(grammar, np_goal):
     sem = get(np_goal, ("sem",))
     assert check_output(grammar, ("the", "complex", "sentence"), "np", sem) == []
+    assert check_output(grammar, ("the", "complex", "sentence"), "np", sem,
+                        GenConfig(step_budget=10 ** 6)) == []
 
 
 def test_check_output_incomplete(grammar, np_goal):
@@ -115,6 +122,17 @@ def test_roundtrip_np(grammar, np_goal):
     report = roundtrip(grammar, np_goal)
     assert report.ok
     assert report.entries == [("the complex sentence", True, True)]
+
+
+def test_roundtrip_reports_an_exhausted_check(grammar, np_goal, monkeypatch):
+    # generation here always takes more steps than parsing its output, so
+    # only the check parse is given the small budget
+    full = skg.parser.parse
+    monkeypatch.setattr(skg.parser, "parse", lambda g, tokens, cfg, root_cat: full(
+        g, tokens, GenConfig(step_budget=5), root_cat))
+    report = roundtrip(grammar, np_goal)
+    assert (report.ok, report.reason) == (False, "budget-exhausted")
+    assert report.entries == []
 
 
 def test_roundtrip_sentence(grammar, sentence_goal):

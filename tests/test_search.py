@@ -277,9 +277,10 @@ def test_a_finished_search_frees_its_environment(grammar, np_goal, monkeypatch):
 
 
 def test_value_walks_leave_no_cycles(grammar, np_goal, sentence_goal):
-    # normalize, subsumes, substructures and normalize_nonsk recurse
-    # through module-level helpers; a recursive closure is a reference
-    # cycle per call, which only the cycle collector frees
+    # normalize, subsumes and substructures recurse through module-level
+    # helpers, and normalize_nonsk walks with a generator; a recursive
+    # closure is a reference cycle per call, which only the cycle
+    # collector frees
     def calls():
         roundtrip(grammar, sentence_goal)
         generate_shdg(grammar, np_goal, SUBSTRUCTURE_LINK, GenConfig(step_budget=10 ** 3))
