@@ -306,6 +306,13 @@ def load_grammar(text: str) -> Grammar:
             rel = tuple(path[1:])
             if not rel:
                 raise GrammarError(f"nonsk path must go below 'sem' (line {line})")
+            for other in nonsk_paths:
+                shorter, longer = sorted((rel, other), key=len)
+                if shorter != longer and longer[:len(shorter)] == shorter:
+                    raise GrammarError(
+                        f"nonsk paths sem.{'.'.join(shorter)} and "
+                        f"sem.{'.'.join(longer)} overlap: a list cannot hold "
+                        f"a record (line {line})")
             if rel not in nonsk_paths:
                 nonsk_paths.append(rel)
         elif word == "rule":

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from contextlib import suppress
 from dataclasses import dataclass
-from itertools import islice
 
 from .avm import ABSENT, Avm, ListVal, Value, get, normalize, put, subsumes
 from .grammar import Grammar
@@ -48,21 +47,30 @@ def nonsk_sites(value: Value, grammar: Grammar):
                 stack.append((where + (step,), x))
 
 
-def _top_sites(sem: Value, grammar: Grammar):
+def _top_sites(sem: Value, grammar: Grammar) -> list:
     """The sites of ``sem``'s own record: the walk's first ones."""
-    return islice(nonsk_sites(sem, grammar),
-                  len(grammar.nonsk_paths) if isinstance(sem, Avm) else 0)
+    if type(sem) is not Avm:
+        return []
+    sites = nonsk_sites(sem, grammar)
+    return [next(sites) for _ in grammar.nonsk_paths]
 
 
 def nonsk_weight(sem: Value, grammar: Grammar) -> int:
     """Total element count of non-kernel lists, at every depth of sem."""
-    return sum(len(at.items) for _, _, at in nonsk_sites(sem, grammar)
-               if isinstance(at, ListVal))
+    weight = 0
+    for _, _, at in nonsk_sites(sem, grammar):
+        if type(at) is ListVal:
+            weight += len(at.items)
+    return weight
 
 
 def is_sk(sem: Value, grammar: Grammar) -> bool:
     """True iff every declared non-kernel path is absent or empty here."""
-    return all(at is ABSENT or at == ListVal(()) for _, _, at in _top_sites(sem, grammar))
+    for _, _, at in _top_sites(sem, grammar):
+        if at is not ABSENT and not (type(at) is ListVal and not at.items
+                                     and at.tail is None):
+            return False
+    return True
 
 
 def decompose(sem: Value, grammar: Grammar) -> Decomposition:

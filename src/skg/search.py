@@ -27,13 +27,20 @@ Generation also memoises its ground daughter goals in a per-call table
 (:meth:`Search.tabled`), in the manner of van Noord's memo tables and
 Kay (1996, *Chart generation*).  Kernel gating gives every generator
 subgoal a finite solution set; the baseline has none, and the parser's
-goals are rarely ground, so neither uses the table.
+goals are rarely ground, so neither uses the table.  The table packs
+its answers (Billot & Lang 1989): the derivations of a goal that end at
+one position share one :class:`Packed` node and reach the caller as one
+solution, so what the search does above a subgoal is done once, not
+once per derivation beneath it.  :func:`distinct_outputs` unpacks them
+into plain derivations, in the order plain search finds them, at no
+cost in steps.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import product
 from types import GeneratorType
 from typing import Optional
 
@@ -75,7 +82,14 @@ class Node:
     children: tuple  # tuple[Derivation, ...] in daughter order
 
 
-Derivation = object  # Leaf | Node
+@dataclass(frozen=True, eq=False)
+class Packed:
+    """Derivations of one tabled goal that end at one position, in the
+    order they were found; only inside a search, never in an output."""
+    alternatives: tuple  # tuple[Derivation, ...], two or more
+
+
+Derivation = object  # Leaf | Node, and Packed inside a search
 
 
 def _preorder(derivation):
@@ -89,9 +103,19 @@ def _preorder(derivation):
 
 
 def yield_tokens(derivation) -> tuple:
-    """Left-to-right sequence of leaf surface tokens."""
-    return tuple(n.entry.surface for _, n in _preorder(derivation)
-                 if isinstance(n, Leaf))
+    """Left-to-right sequence of leaf surface tokens; None for a derivation
+    that holds a :class:`Packed` node."""
+    tokens = []
+    stack = [derivation]
+    while stack:
+        node = stack.pop()
+        if type(node) is Leaf:
+            tokens.append(node.entry.surface)
+        elif type(node) is Node:
+            stack.extend(reversed(node.children))
+        else:
+            return None
+    return tuple(tokens)
 
 
 def format_derivation(derivation, indent: int = 0) -> str:
@@ -206,8 +230,9 @@ class Search:
     :meth:`run`.
 
     With a ``table`` (a dict), the daughters of a rule whose goals have
-    no variables left are solved once per search and their solutions
-    replayed after that (see :meth:`tabled`).
+    no variables left are solved once per search, and each answers with
+    one solution per end position, its derivations packed (see
+    :meth:`tabled`); :func:`distinct_outputs` unpacks them.
     """
 
     def __init__(self, grammar, cfg: GenConfig, rows, pivots, table=None):
@@ -308,12 +333,15 @@ class Search:
 
         The table is keyed by the resolved goal and the position.  The
         first search for a key runs to exhaustion on the resolved value
-        and stores its ``(derivation, end)`` pairs; this and every later
-        search for the key replay them, with the resolved goal as the
-        merged value.  A goal with variables, a key that comes back while
-        it is being filled, and a key with a solution that adds
-        information to the goal (which the replay would drop) get plain
-        search.
+        and stores one ``(derivation, end)`` answer per distinct end, in
+        the order the ends were first found; the derivation is a
+        :class:`Packed` node when more than one solution shares the end.
+        This and every later search for the key replay the answers, with
+        the resolved goal as the merged value, so the caller goes on once
+        per end, not once per derivation.  A goal with variables, a key
+        that comes back while it is being filled, and a key with a
+        solution that adds information to the goal (which the replay
+        would drop) get plain search.
         """
         resolved = self.env.resolve(goal)
         if next(variables(resolved), None) is not None:
@@ -329,18 +357,20 @@ class Search:
 
     def _fill(self, key, goal, resolved, pos):
         self.table[key] = PLAIN  # until it is filled
-        answers = []
+        ends = {}  # end -> the derivations that reach it, ends in the order found
         exact = True
         want = normalize(resolved)
         sub = self.solve(resolved, pos)
         while (found := (yield sub)) is not DONE:
-            answers.append(found[:2])
+            ends.setdefault(found[1], []).append(found[0])
             exact = exact and normalize(self.env.resolve(found[2])) == want
         if not exact:
             sub = self.solve(goal, pos)
             while (found := (yield sub)) is not DONE:
                 yield found
             return
+        answers = [(derivs[0] if len(derivs) == 1 else Packed(tuple(derivs)), end)
+                   for end, derivs in ends.items()]
         self.table[key] = answers
         for deriv, end in answers:
             yield deriv, end, resolved
@@ -367,9 +397,75 @@ def distinct_outputs(search: Search, goal: Value):
 
     Each derivation comes once: a pivot source yields each lexical entry
     or NonSK expansion once, a pivot completes through each rule once,
-    sister solutions are distinct by induction, and the table replays
-    each stored answer once per request.  The loader rejects a repeated
+    sister solutions are distinct by induction, and a packed answer holds
+    each derivation of its goal once.  The loader rejects a repeated
     lexical entry, the one way two solutions could share a derivation.
+
+    A solution that holds :class:`Packed` nodes is unpacked here (see
+    :func:`_unpacked`), its resolved goal computed once for all of its
+    derivations.  Unpacking ticks no step.  Each solution's derivations
+    come together: where the search branches after a packed subgoal,
+    plain search would interleave the branches' derivations, one per
+    derivation of the subgoal, and here each branch's come as a block.
     """
+    memo = {}
+    heads = None
     for deriv, _, _ in search.run(goal):
-        yield yield_tokens(deriv), deriv, normalize(search.env.resolve(goal))
+        root = normalize(search.env.resolve(goal))
+        tokens = yield_tokens(deriv)
+        if tokens is not None:
+            yield tokens, deriv, root
+            continue
+        heads = heads or {rule.id: rule.head_index for rule in search.g.rules}
+        for tokens, plain in _unpacked(deriv, heads, memo):
+            yield tokens, plain, root
+
+
+def _unpacked(deriv: Node, heads: dict, memo: dict):
+    """The plain ``(tokens, derivation)`` pairs packed in ``deriv``.
+
+    They come in the order in which plain search finds them among this
+    solution's derivations, the order in which generation makes its
+    choices: a :class:`Packed` node's alternatives in the order found,
+    and a node's daughters varying in the order they were solved, the
+    head daughter (``heads`` by rule id) slowest, then the others left
+    to right.  The daughters' pairs are made bottom-up with an explicit
+    stack, each Packed node's once per ``memo``; the root's are made
+    lazily, one per request.
+    """
+    pairs = {}  # id(node) -> its pairs, for the nodes below the root
+    stack = list(deriv.children)
+    while stack:
+        node = stack[-1]
+        if id(node) in pairs:
+            stack.pop()
+        elif type(node) is Leaf:
+            pairs[id(node)] = [((node.entry.surface,), node)]
+        elif type(node) is Packed and node in memo:
+            pairs[id(node)] = memo[node]
+        else:
+            below = node.children if type(node) is Node else node.alternatives
+            todo = [b for b in below if id(b) not in pairs]
+            if todo:
+                stack.extend(todo)
+                continue
+            if type(node) is Node:
+                pairs[id(node)] = list(_combined(
+                    node, [pairs[id(b)] for b in below], heads[node.rule_id]))
+            else:
+                pairs[id(node)] = memo[node] = [
+                    pair for b in below for pair in pairs[id(b)]]
+    yield from _combined(deriv, [pairs[id(b)] for b in deriv.children],
+                         heads[deriv.rule_id])
+
+
+def _combined(node: Node, daughters: list, head: int):
+    """The pairs of ``node`` from its daughters' pairs, the head daughter's
+    varying slowest, then the others' from left to right."""
+    order = [head, *(i for i in range(len(daughters)) if i != head)]
+    chosen = [None] * len(daughters)
+    for picks in product(*(daughters[i] for i in order)):
+        for i, pick in zip(order, picks):
+            chosen[i] = pick
+        yield (tuple(t for tokens, _ in chosen for t in tokens),
+               Node(node.rule_id, tuple(d for _, d in chosen)))

@@ -328,6 +328,17 @@ def test_deep_grammar_rule_exits_3(capsys, tmp_path, argv):
     assert out == ""
 
 
+def test_overlapping_nonsk_paths_exit_3(capsys, tmp_path):
+    grammar = tmp_path / "overlap.skg"
+    with open(GRAMMAR, encoding="utf-8") as handle:
+        grammar.write_text("nonsk sem.a.b.\nnonsk sem.a.\n" + handle.read())
+    code, out, err = run(capsys, "check", "--grammar", str(grammar))
+    assert code == EXIT_INPUT
+    assert err == ("error: bad grammar: nonsk paths sem.a and sem.a.b overlap:"
+                   " a list cannot hold a record (line 2)\n")
+    assert out == ""
+
+
 def test_repeated_lexical_entry_exits_3(capsys, tmp_path):
     grammar = tmp_path / "twice.skg"
     grammar.write_text(CYCLIC + 'lex "go": [cat: v, sem: [pred: go]].\n')

@@ -1,5 +1,7 @@
 """Grammar DSL loading, rule classification and the link relation."""
 
+import re
+
 import pytest
 
 import skg
@@ -138,6 +140,19 @@ def test_missing_category_rejected():
 def test_nonsk_path_must_be_under_sem():
     with pytest.raises(GrammarError, match="sem"):
         load_grammar("nonsk mod.\n" + MINI)
+
+
+@pytest.mark.parametrize("first, second", [("a.b", "a"), ("a", "a.b"),
+                                           ("mod", "mod.x.y")])
+def test_nonsk_paths_that_are_prefixes_of_each_other_rejected(first, second):
+    # a list at one path cannot hold a record with the other path in it
+    shorter, longer = sorted((first, second), key=len)
+    with pytest.raises(GrammarError, match=re.escape(
+            f"nonsk paths sem.{shorter} and sem.{longer} overlap")):
+        load_grammar(f"nonsk sem.{first}.\nnonsk sem.{second}.\n" + MINI)
+    # sibling paths, and a path declared twice, still load
+    assert load_grammar("nonsk sem.a.b.\nnonsk sem.a.c.\nnonsk sem.a.b.\n"
+                        + MINI).nonsk_paths == [("a", "b"), ("a", "c"), ("mod",)]
 
 
 def test_declared_class_checked():

@@ -1,9 +1,10 @@
 """Subgoal tabulation and completion rows in kernel-driven generation.
 
-``generate`` solves each ground daughter goal once per call and replays
-its solutions after that; these tests hold it to plain search, pin the
-step count it saves, and pin the baseline and the parser, which do not
-use the table, to their figures.  ``generate`` and ``parse`` complete a
+``generate`` solves each ground daughter goal once per call and answers
+it with its derivations packed, one solution per end position, which the
+output unpacks; these tests hold it to plain search, pin the step count
+it saves, and pin the baseline and the parser, which do not use the
+table, to their figures.  ``generate`` and ``parse`` complete a
 pivot only through what its category can match; they are held to a
 search that tries every plan of the goal on every pivot.
 """
@@ -12,7 +13,7 @@ import dataclasses
 import random
 
 import pytest
-from oracle import random_goal
+from oracle import _ADJS, _NOUNS, random_goal
 
 from skg import (
     SUBSTRUCTURE_LINK,
@@ -25,10 +26,11 @@ from skg import (
     normalize,
     parse,
     parse_value,
+    serialize_grammar,
 )
 from skg.generator import _kernel_pivots
 from skg.grammar import LOCAL, SK, plan_table
-from skg.search import Search, distinct_outputs
+from skg.search import PLAIN, Leaf, Node, Packed, Search, distinct_outputs
 
 LADDER = ("[cat: s, sem: [mod: <{}>, pred: generate,"
           " arg1: [def: +, mod: <little, prolog>, rel: program],"
@@ -37,6 +39,20 @@ LADDER = ("[cat: s, sem: [mod: <{}>, pred: generate,"
 
 def ladder_goal(k):
     return parse_value(LADDER.format(", ".join(["quick"] * k)))
+
+
+def multi_adverb_goals():
+    """Sentence goals with 2-4 sentence adverbs and 0-2 adjectives in each
+    np: goals whose tabled subgoals have several derivations each."""
+    rng = random.Random(25)
+
+    def np(n):
+        adjectives = ", ".join(rng.choice(_ADJS) for _ in range(n))
+        return f"[def: +, mod: <{adjectives}>, rel: {rng.choice(_NOUNS)}]"
+
+    return [parse_value(f"[cat: s, sem: [mod: <{', '.join(['quick'] * k)}>,"
+                        f" pred: generate, arg1: {np(a1)}, arg2: {np(a2)}]]")
+            for k in (2, 3, 4) for a1 in range(3) for a2 in range(3)]
 
 
 def unindexed(grammar):
@@ -83,9 +99,57 @@ def test_fixtures_match_plain_search(grammar, np_goal, sentence_goal):
         assert_same_outputs(grammar, goal)
 
 
-@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("k", range(6))
 def test_ladder_matches_plain_search(grammar, k):
     assert_same_outputs(grammar, ladder_goal(k))
+
+
+def test_multi_adverb_goals_match_plain_search(grammar):
+    for goal in multi_adverb_goals():
+        assert_same_outputs(grammar, goal)
+
+
+def packed_answers(grammar, goal):
+    """The Packed nodes in the table of a search run as ``generate`` runs it,
+    with the steps of the search alone, before any unpacking."""
+    search = Search(grammar, GenConfig(), grammar.tables.sk, _kernel_pivots, table={})
+    for _ in search.run(search.env.instantiate(goal, {})):
+        pass
+    return [deriv for answers in search.table.values() if answers is not PLAIN
+            for deriv, _ in answers if isinstance(deriv, Packed)], search.env.steps
+
+
+def test_multi_adverb_goals_pack(grammar):
+    # the goals above exercise packing; the ladder packs from two adverbs on
+    assert all(packed_answers(grammar, goal)[0] for goal in multi_adverb_goals())
+    assert [bool(packed_answers(grammar, ladder_goal(k))[0]) for k in range(3)] \
+        == [False, False, True]
+
+
+def test_unpacking_takes_no_step(grammar):
+    for goal in [ladder_goal(7)] + multi_adverb_goals()[-3:]:
+        assert generate(grammar, goal).steps_used == packed_answers(grammar, goal)[1]
+
+
+def test_no_packed_node_reaches_the_outputs(grammar):
+    for goal in [ladder_goal(k) for k in range(8)] + multi_adverb_goals():
+        for _, deriv, _ in generate(grammar, goal).outputs:
+            stack = [deriv]
+            while stack:
+                node = stack.pop()
+                assert type(node) in (Leaf, Node)
+                if type(node) is Node:
+                    stack.extend(node.children)
+
+
+def test_first_result_is_plain_search_first(grammar):
+    # a packed solution unpacks in plain search's order, so the first
+    # output is plain search's first
+    goal = ladder_goal(6)
+    first = generate(grammar, goal, GenConfig(max_results=1)).outputs
+    assert_same(first, untabled(grammar, goal)[0][:1])
+    assert format_derivation(first[0][1]).splitlines()[:13:2] \
+        == [" " * 2 * i + "rule 1a" for i in range(6)] + [" " * 12 + "rule 2"]
 
 
 def test_random_goals_match_plain_search(grammar):
@@ -145,6 +209,47 @@ lex "together": [cat: adv, sem: [num: pl]].
 """
 
 
+# Synonyms of an adjective, of the determiner and of the adverb.  The
+# determiner is solved after the adjective's packed subgoal, as a goal with
+# a variable, so plain search interleaves the two adjectives' derivations,
+# while ``generate`` gives each determiner's as a block.
+SYNONYMS = """
+lex "tiny": [cat: adj, sem: little].
+lex "this": [cat: det, sem: [def: +]].
+lex "fast": [cat: adv, sem: quick].
+"""
+
+
+def test_synonyms_keep_plain_search_derivations(grammar):
+    with_synonyms = load_grammar(serialize_grammar(grammar) + SYNONYMS)
+    goal = parse_value("[cat: np, sem: [def: +, mod: <little, prolog>, rel: program]]")
+    assert generate(with_synonyms, goal).surfaces == [
+        "the little prolog program", "the tiny prolog program",
+        "this little prolog program", "this tiny prolog program"]
+    assert [" ".join(t) for t, _, _ in untabled(with_synonyms, goal)[0]] == [
+        "the little prolog program", "this little prolog program",
+        "the tiny prolog program", "this tiny prolog program"]
+    for goal in [goal] + [ladder_goal(k) for k in range(3)]:
+        outputs = generate(with_synonyms, goal).outputs
+        plain, _ = untabled(with_synonyms, goal)
+        assert sorted((t, format_derivation(d), r) for t, d, r in outputs) \
+            == sorted((t, format_derivation(d), r) for t, d, r in plain)
+
+
+def test_synonym_nouns_match_plain_search(grammar):
+    # Both nps have two derivations, each packed as a sister goal.  Plain
+    # search picks the object (inside the head daughter of rule 2) before
+    # the subject, so the head daughter's derivations vary slowest.
+    synonyms = load_grammar(serialize_grammar(grammar)
+                            + 'lex "code": [cat: n, sem: [rel: program]].\n'
+                            + 'lex "text": [cat: n, sem: [rel: sentence]].\n')
+    for k in range(3):
+        assert_same_outputs(synonyms, ladder_goal(k))
+    assert generate(synonyms, ladder_goal(0)).surfaces[:2] == [
+        "the little prolog program generated the complex sentence",
+        "the little prolog code generated the complex sentence"]
+
+
 def test_refining_sister_matches_plain_search():
     grammar = load_grammar(REFINING)
     goal = parse_value("[cat: s, sem: [pred: sleep, arg: [rel: dog]]]")
@@ -154,14 +259,14 @@ def test_refining_sister_matches_plain_search():
 
 def test_ladder_steps(grammar):
     result = generate(grammar, ladder_goal(6))
-    assert result.steps_used <= 20_000  # 111,936 without the table
+    assert result.steps_used <= 20_000  # 71,305 with plain search
     assert len(set(result.surfaces)) == 28
     assert not result.exhausted_budget
 
 
 # Exact step counts: tier-1 catches a change in the search's work.
 @pytest.mark.parametrize("k, steps", enumerate(
-    [182, 334, 625, 1_184, 2_255, 4_340, 8_487, 16_898]))
+    [182, 334, 565, 904, 1_375, 2_004, 2_819, 3_850]))
 def test_ladder_steps_exact(grammar, k, steps):
     assert generate(grammar, ladder_goal(k)).steps_used == steps
 
