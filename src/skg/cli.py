@@ -94,12 +94,15 @@ def cmd_check(args):
     rows = [(r.id, r.sk_class, r.mother_cat,
              [r.daughter_cat(i) for i in range(len(r.daughters))])
             for r in grammar.rules]
-    warnings = [] if grammar.nonsk_paths else ["no non-kernel paths declared"]
+    paths = [".".join(("sem",) + p) for p in grammar.nonsk_paths]
+    grown = {".".join(("sem",) + r.nonsk_path) for r in grammar.rules if r.nonsk_path}
+    warnings = [] if paths else ["no non-kernel paths declared"]
+    warnings += [f"no rule grows non-kernel path {p}" for p in paths if p not in grown]
     warnings += [f"unary rule cycle over {', '.join(cats)}: rule {', '.join(ids)}"
                  for cats, ids in unary_cycles(grammar.rules)]
     payload = {
         "start": grammar.start,
-        "nonsk_paths": [".".join(("sem",) + p) for p in grammar.nonsk_paths],
+        "nonsk_paths": paths,
         "rules": [
             {"id": i, "class": c, "mother": m, "daughters": d}
             for i, c, m, d in rows
@@ -108,7 +111,7 @@ def cmd_check(args):
         "warnings": warnings,
     }
     lines = [f"start: {grammar.start}",
-             "nonsk paths: " + (", ".join(payload["nonsk_paths"]) or "(none)")]
+             "nonsk paths: " + (", ".join(paths) or "(none)")]
     lines += [f"rule {i}: {c}  {m} -> {', '.join(d)}" for i, c, m, d in rows]
     lines.append(f"lexicon: {len(grammar.lexicon)} entries")
     return payload, lines + [f"warning: {w}" for w in warnings], EXIT_OK

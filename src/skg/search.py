@@ -23,17 +23,14 @@ depth of the search, so a budget-bounded regress ends with its budget.
 from; it ends them when the step budget runs out and records that on the
 search.
 
-Generation also memoises its ground daughter goals in a per-call table
-(:meth:`Search.tabled`), in the manner of van Noord's memo tables and
-Kay (1996, *Chart generation*).  Kernel gating gives every generator
-subgoal a finite solution set; the baseline has none, and the parser's
-goals are rarely ground, so neither uses the table.  The table packs
-its answers (Billot & Lang 1989): the derivations of a goal that end at
-one position share one :class:`Packed` node and reach the caller as one
-solution, so what the search does above a subgoal is done once, not
-once per derivation beneath it.  :func:`distinct_outputs` unpacks them
-into plain derivations, in the order plain search finds them, at no
-cost in steps.
+Generation also memoises its daughter goals by variant in a per-call
+table (:meth:`Search.tabled`), as van Noord's memo tables, Warren (1992,
+*Memoing for logic programs*) and Kay (1996, *Chart generation*) do.
+Kernel gating gives every generator subgoal a finite solution set; the
+baseline has none, and neither it nor the parser uses the table.
+Answers are packed (Billot & Lang 1989), so what the search does above a
+subgoal is done once per answer, not once per derivation beneath it;
+:func:`distinct_outputs` unpacks them at no cost in steps.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from types import GeneratorType
 from typing import Optional
 
 from .avm import (ABSENT, Atom, Avm, BudgetExhausted, Env, ListVal, Value,
-                  get, normalize, render, variables)
+                  get, normalize, render)
 from .grammar import LOCAL, LexEntry
 from .kernel import nonsk_sites
 
@@ -84,8 +81,9 @@ class Node:
 
 @dataclass(frozen=True, eq=False)
 class Packed:
-    """Derivations of one tabled goal that end at one position, in the
-    order they were found; only inside a search, never in an output."""
+    """Derivations of one tabled goal that end at one position with one
+    description, in the order they were found; only inside a search,
+    never in an output."""
     alternatives: tuple  # tuple[Derivation, ...], two or more
 
 
@@ -229,10 +227,10 @@ class Search:
     are ``(derivation, end, merged goal)`` triples, read through
     :meth:`run`.
 
-    With a ``table`` (a dict), the daughters of a rule whose goals have
-    no variables left are solved once per search, and each answers with
-    one solution per end position, its derivations packed (see
-    :meth:`tabled`); :func:`distinct_outputs` unpacks them.
+    With a ``table`` (a dict), each variant of a daughter goal is solved
+    once per search and answers with one solution per end position and
+    description, its derivations packed (see :meth:`tabled`);
+    :func:`distinct_outputs` unpacks them.
     """
 
     def __init__(self, grammar, cfg: GenConfig, rows, pivots, table=None):
@@ -329,51 +327,47 @@ class Search:
                 pending.append(subgoal(daughters[order[len(pending)]], end))
 
     def tabled(self, goal: Value, pos=None):
-        """A search for a daughter goal, answered from the table when ground.
+        """A search for a daughter goal, answered from the table.
 
-        The table is keyed by the resolved goal and the position.  The
-        first search for a key runs to exhaustion on the resolved value
-        and stores one ``(derivation, end)`` answer per distinct end, in
-        the order the ends were first found; the derivation is a
-        :class:`Packed` node when more than one solution shares the end.
-        This and every later search for the key replay the answers, with
-        the resolved goal as the merged value, so the caller goes on once
-        per end, not once per derivation.  A goal with variables, a key
-        that comes back while it is being filled, and a key with a
-        solution that adds information to the goal (which the replay
-        would drop) get plain search.
+        The key is the goal's variant (its normalized resolved value) and
+        the position.  The first search for a key solves the resolved goal
+        to exhaustion and stores one ``(derivation, end, description)``
+        answer per end and description (the normalized merged goal, None
+        if it is the key's) in the order first found, the derivation a
+        :class:`Packed` node if several solutions share both.  Every search
+        for the key replays them: an answer with the key's description as
+        it is, any other instantiated and unified with the caller's goal.
+        A key that comes back while it is being filled gets plain search.
         """
         resolved = self.env.resolve(goal)
-        if next(variables(resolved), None) is not None:
-            return self.solve(goal, pos)
-        key = (resolved, pos)
+        key = (normalize(resolved), pos)
         answers = self.table.get(key)
-        if answers is None:
-            return self._fill(key, goal, resolved, pos)
         if answers is PLAIN:
             return self.solve(goal, pos)
-        self.note("table", resolved)
-        return ((deriv, end, resolved) for deriv, end in answers)
+        if answers is not None:
+            self.note("table", resolved)
+        return self._replay(key, goal, resolved, answers)
 
-    def _fill(self, key, goal, resolved, pos):
-        self.table[key] = PLAIN  # until it is filled
-        ends = {}  # end -> the derivations that reach it, ends in the order found
-        exact = True
-        want = normalize(resolved)
-        sub = self.solve(resolved, pos)
-        while (found := (yield sub)) is not DONE:
-            ends.setdefault(found[1], []).append(found[0])
-            exact = exact and normalize(self.env.resolve(found[2])) == want
-        if not exact:
-            sub = self.solve(goal, pos)
+    def _replay(self, key, goal, resolved, answers):
+        """Fill the key's entry if ``answers`` is None, then replay it."""
+        env = self.env
+        if answers is None:
+            self.table[key] = PLAIN  # until it is filled
+            groups = {}  # (end, description) -> its derivations, in the order found
+            sub = self.solve(resolved, key[1])
             while (found := (yield sub)) is not DONE:
-                yield found
-            return
-        answers = [(derivs[0] if len(derivs) == 1 else Packed(tuple(derivs)), end)
-                   for end, derivs in ends.items()]
-        self.table[key] = answers
-        for deriv, end in answers:
-            yield deriv, end, resolved
+                groups.setdefault((found[1], normalize(env.resolve(found[2]))),
+                                  []).append(found[0])
+            answers = self.table[key] = [
+                (derivs[0] if len(derivs) == 1 else Packed(tuple(derivs)), end,
+                 None if answer == key[0] else answer)
+                for (end, answer), derivs in groups.items()]
+        for deriv, end, answer in answers:
+            mark = env.mark()
+            merged = goal if answer is None else env.unify(env.instantiate(answer), goal)
+            if merged is not None:
+                yield deriv, end, merged
+            env.undo(mark)
 
     def lexical(self, entries, goal, end, attach):
         """Pivots from lexical entries, which the pivot source has linked to the goal.
@@ -404,9 +398,11 @@ def distinct_outputs(search: Search, goal: Value):
     A solution that holds :class:`Packed` nodes is unpacked here (see
     :func:`_unpacked`), its resolved goal computed once for all of its
     derivations.  Unpacking ticks no step.  Each solution's derivations
-    come together: where the search branches after a packed subgoal,
-    plain search would interleave the branches' derivations, one per
-    derivation of the subgoal, and here each branch's come as a block.
+    come together: where the search goes on in more than one way after a
+    packed subgoal (a later sister goal with several answers, or a mother
+    that completes in more than one way), plain search takes every way
+    once per derivation of the subgoal, so the ways' derivations
+    interleave, and here each way's come as a block.
     """
     memo = {}
     heads = None

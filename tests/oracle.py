@@ -1,9 +1,10 @@
-"""Independent oracles used by the test suite.
+"""Oracles used by the test suite.
 
 Nothing here shares search logic with the package: the generation
 oracle is a brute-force bottom-up chart enumeration bounded by yield
 length, and the unification oracle is a direct recursive meet on
-variable-free values.  The element-by-element ``reference_resolve`` and
+variable-free values.  The enumerator builds its constituents with the
+package's ``Env``, so it cannot see a fault in ``Env.unify``.  The element-by-element ``reference_resolve`` and
 ``reference_occurs`` use only ``Env``'s variable lookup, not its walker
 of bound list tails or its occurs memo, and fold a record's bound rests
 themselves.

@@ -448,6 +448,28 @@ def test_check_warns_about_a_unary_rule_cycle(capsys, tmp_path):
     assert payload["warnings"] == []
 
 
+# The grammar declares sem.mod, but its one rule grows sem.adj.
+UNGROWN_PATH = """
+nonsk sem.mod.
+rule 1 head 2: [cat: np, sem: N, sem: [adj: <M | Ms>]]
+  -> [cat: adj, sem: M], [cat: np, sem: N, sem: [adj: Ms]].
+lex "dog": [cat: np, sem: [rel: dog, adj: <>]].
+lex "big": [cat: adj, sem: big].
+"""
+
+
+def test_check_warns_about_a_non_kernel_path_no_rule_grows(capsys, tmp_path):
+    grammar = tmp_path / "ungrown.skg"
+    grammar.write_text(UNGROWN_PATH)
+    code, out, _ = run(capsys, "check", "--grammar", str(grammar))
+    assert code == EXIT_OK
+    assert out.endswith("rule 1: SK  np -> adj, np\nlexicon: 2 entries\n"
+                        "warning: no rule grows non-kernel path sem.mod\n")
+    code, payload, _ = run_json(capsys, "check", "--grammar", str(grammar))
+    assert code == EXIT_OK
+    assert payload["warnings"] == ["no rule grows non-kernel path sem.mod"]
+
+
 def test_missing_semantics_file(capsys):
     code, out, err = run(capsys, "generate", "--grammar", GRAMMAR, "--sem", "/no/such.sem")
     assert code == EXIT_INPUT

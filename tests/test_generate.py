@@ -186,6 +186,20 @@ def test_nonsk_expansions_requires_nonsk_goal(grammar):
         nonsk_expansions(grammar, P("[cat: n2, sem: [rel: sentence]]"))
 
 
+# A sister daughter with no sem: its goal constrains only the category, so
+# an entry with a sem of its own is attached as it is.
+PARTICLE = """
+rule 1 head 1: [cat: s, sem: S] -> [cat: v, sem: S], [cat: prt].
+lex "gave": [cat: v, sem: [pred: give]].
+lex "up": [cat: prt, sem: up].
+"""
+
+
+def test_a_daughter_without_sem_takes_an_entry_with_one():
+    result = generate(skg.load_grammar(PARTICLE), P("[cat: s, sem: [pred: give]]"))
+    assert result.surfaces == ["gave up"]
+
+
 def test_generation_error_on_missing_cat(grammar):
     with pytest.raises((GenerationError, skg.GrammarError)):
         generate(grammar, P("[sem: [rel: sentence]]"))
