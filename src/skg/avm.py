@@ -544,43 +544,37 @@ def put(value: Value, path, new: Value) -> Value:
     return Avm(pairs if old is not ABSENT else pairs + ((f, child),), value.rest)
 
 
-def substructures(value: Value):
-    """Every value reachable from the root, normalized, root first."""
-    return _visit(value, set(), [])
+def parts(value: Value):
+    """Yield ``(where, part)`` for ``value`` and every value inside it, in
+    reading order, each value before the values it contains.  ``where`` is the
+    step tuple to ``part``: feature names and list item indices, and ``"|"``
+    for a record's rest or a list's tail.  The walk keeps its own stack."""
+    stack = [((), value)]
+    while stack:
+        where, v = stack.pop()
+        yield where, v
+        kind = type(v)
+        if kind is Avm:
+            if v.rest is not None:
+                stack.append((where + ("|",), v.rest))
+            for step, x in reversed(v.pairs):
+                stack.append((where + (step,), x))
+        elif kind is ListVal:
+            items = v.items
+            if v.tail is not None:
+                stack.append((where + ("|",), v.tail))
+            for i in range(len(items) - 1, -1, -1):
+                stack.append((where + (i,), items[i]))
 
 
-def _visit(v: Value, seen: set, out: list) -> list:
-    """``substructures``' walk: append to ``out`` each normal form not in ``seen``."""
-    n = normalize(v)
-    if n not in seen:
-        seen.add(n)
-        out.append(n)
-    if isinstance(v, Avm):
-        for _, x in v.pairs:
-            _visit(x, seen, out)
-        if v.rest is not None:
-            _visit(v.rest, seen, out)
-    elif isinstance(v, ListVal):
-        for x in v.items:
-            _visit(x, seen, out)
-        if v.tail is not None:
-            _visit(v.tail, seen, out)
-    return out
+def substructures(value: Value) -> list:
+    """Every value reachable from the root, normalized, each once, in reading order."""
+    return list(dict.fromkeys(normalize(part) for _, part in parts(value)))
 
 
 def variables(value: Value) -> Iterator[Var]:
-    if isinstance(value, Var):
-        yield value
-    elif isinstance(value, Avm):
-        for _, v in value.pairs:
-            yield from variables(v)
-        if value.rest is not None:
-            yield value.rest
-    elif isinstance(value, ListVal):
-        for v in value.items:
-            yield from variables(v)
-        if value.tail is not None:
-            yield value.tail
+    """The variables of ``value`` in reading order, with repeats."""
+    return (part for _, part in parts(value) if type(part) is Var)
 
 
 # ---------------------------------------------------------------------------

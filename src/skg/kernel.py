@@ -15,7 +15,7 @@ from __future__ import annotations
 from contextlib import suppress
 from dataclasses import dataclass
 
-from .avm import ABSENT, Avm, ListVal, Value, get, normalize, put, subsumes
+from .avm import ABSENT, Avm, ListVal, Value, get, normalize, parts, put, subsumes
 from .grammar import Grammar
 
 
@@ -27,32 +27,22 @@ class Decomposition:
 
 def nonsk_sites(value: Value, grammar: Grammar):
     """Yield ``(where, path, at)`` for each declared non-kernel path of each
-    record in ``value``: ``where`` locates the record (features, and item
-    indices inside lists), ``at`` is what it holds at ``path`` or ``ABSENT``.
+    record in ``value``: ``where`` locates the record (see :func:`avm.parts`),
+    ``at`` is what it holds at ``path`` or ``ABSENT``.
     Records come in reading order, at every depth, a record before those in it.
     """
     paths = grammar.nonsk_paths
-    stack = [((), value)] if type(value) in (Avm, ListVal) else []
-    while stack:
-        where, v = stack.pop()
-        if type(v) is Avm:
+    for where, part in parts(value):
+        if type(part) is Avm:
             for path in paths:
-                yield where, path, get(v, path)
-            steps = v.pairs
-        else:
-            steps = tuple(enumerate(v.items))
-        # atoms hold no records: not pushing them spares their locations
-        for step, x in reversed(steps):
-            if type(x) in (Avm, ListVal):
-                stack.append((where + (step,), x))
+                yield where, path, get(part, path)
 
 
 def _top_sites(sem: Value, grammar: Grammar) -> list:
-    """The sites of ``sem``'s own record: the walk's first ones."""
+    """The ``(path, at)`` pairs of ``sem``'s own record."""
     if type(sem) is not Avm:
         return []
-    sites = nonsk_sites(sem, grammar)
-    return [next(sites) for _ in grammar.nonsk_paths]
+    return [(path, get(sem, path)) for path in grammar.nonsk_paths]
 
 
 def nonsk_weight(sem: Value, grammar: Grammar) -> int:
@@ -66,7 +56,7 @@ def nonsk_weight(sem: Value, grammar: Grammar) -> int:
 
 def is_sk(sem: Value, grammar: Grammar) -> bool:
     """True iff every declared non-kernel path is absent or empty here."""
-    for _, _, at in _top_sites(sem, grammar):
+    for _, at in _top_sites(sem, grammar):
         if at is not ABSENT and not (type(at) is ListVal and not at.items
                                      and at.tail is None):
             return False
@@ -82,7 +72,7 @@ def decompose(sem: Value, grammar: Grammar) -> Decomposition:
     """
     kernel = sem
     items = []
-    for _, path, at in _top_sites(sem, grammar):
+    for path, at in _top_sites(sem, grammar):
         if at is not ABSENT:
             if not isinstance(at, ListVal):
                 raise ValueError(

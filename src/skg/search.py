@@ -41,8 +41,8 @@ from itertools import product
 from types import GeneratorType
 from typing import Optional
 
-from .avm import (ABSENT, Atom, Avm, BudgetExhausted, Env, ListVal, Value,
-                  get, normalize, render)
+from .avm import (ABSENT, Atom, Avm, BudgetExhausted, Env, ListVal, Value, Var,
+                  get, normalize, parts, render)
 from .grammar import LOCAL, LexEntry
 from .kernel import nonsk_sites
 
@@ -163,25 +163,22 @@ def goal_category(goal: Value, env: Env) -> str:
 
 
 def check_goal(goal: Value, grammar) -> None:
-    """Raise ``GenerationError`` for a goal without a ``cat`` atom or a ``sem``,
-    for a record with a rest anywhere in it (only rules may share a record that
-    way), or for a value other than a closed list at a non-kernel path of any
-    record in its ``sem``."""
+    """Raise ``GenerationError`` for a goal without a ``cat`` atom, without a
+    ``sem`` or with a bare variable for it, for a record with a rest anywhere in
+    it (only rules may share a record that way), or for a value other than a
+    closed list at a non-kernel path of any record in its ``sem``."""
     if not isinstance(get(goal, ("cat",)), Atom):
         raise GenerationError("generation goal has no category atom")
-    if get(goal, ("sem",)) is ABSENT:
+    sem = get(goal, ("sem",))
+    if sem is ABSENT:
         raise GenerationError("goal has no sem feature")
-    stack = [((), goal)]
-    while stack:
-        path, value = stack.pop()
-        if isinstance(value, Avm):
-            if value.rest is not None:
-                raise GenerationError(
-                    f"goal repeats feature {'.'.join(path)} with a variable")
-            stack.extend((path + (f,), v) for f, v in reversed(value.pairs))
-        elif isinstance(value, ListVal):
-            stack.extend((path, v) for v in reversed(value.items))
-    for where, path, at in nonsk_sites(get(goal, ("sem",)), grammar):
+    if type(sem) is Var:
+        raise GenerationError("goal sem is a bare variable")
+    for where, part in parts(goal):
+        if type(part) is Avm and part.rest is not None:
+            where = ".".join(f for f in where if isinstance(f, str))
+            raise GenerationError(f"goal repeats feature {where} with a variable")
+    for where, path, at in nonsk_sites(sem, grammar):
         if at is not ABSENT and not (isinstance(at, ListVal) and at.tail is None):
             where = ".".join(f for f in where + path if isinstance(f, str))
             what = "an open list" if isinstance(at, ListVal) else "a non-list value"

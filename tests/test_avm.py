@@ -25,6 +25,7 @@ from skg import (
     unify,
     variables,
 )
+from skg.avm import parts
 from oracle import (ground_subsumes, ground_unify, reference_occurs,
                     reference_resolve, universe)
 
@@ -511,18 +512,70 @@ def test_get_put():
     assert get(v, ("sem", "mod")) == P("<a>")  # original untouched
 
 
+#: A value with a rest, a tail and a record inside a list, for the walk orders.
+READING = "[f: X, g: <[h: Y, mod: <b>] | T>, sem: S, sem: [mod: <a | M>]]"
+
+
 def test_substructures():
     v = P("[f: [g: a], h: <[i: b]>]")
     subs = list(substructures(v))
     assert P("[g: a]") in subs
     assert P("[i: b]") in subs
     assert v in subs
+    # each normal form once, in reading order
+    assert [render(s) for s in substructures(P(READING))] == [
+        "[f: #0, g: <[h: #2, mod: <b>] | #1>, sem: #4, sem: [mod: <a | #3>]]",
+        "#0",
+        "<[h: #1, mod: <b>] | #0>",
+        "[h: #0, mod: <b>]",
+        "<b>",
+        "b",
+        "#1 & [mod: <a | #0>]",
+        "<a | #0>",
+        "a",
+    ]
 
 
 def test_variables():
     v = P("[f: X, g: <Y | X>]")
     tags = {x.tag for x in variables(v)}
     assert tags == {"X", "Y"}
+    # in reading order: a record's rest and a list's tail after its items
+    assert [x.tag for x in variables(P(READING))] == ["X", "Y", "T", "M", "S"]
+
+
+def test_parts_come_in_reading_order():
+    v = P(READING)
+    assert [(where, render(part)) for where, part in parts(v)][1:] == [
+        (("f",), "X"),
+        (("g",), "<[h: Y, mod: <b>] | T>"),
+        (("g", 0), "[h: Y, mod: <b>]"),
+        (("g", 0, "h"), "Y"),
+        (("g", 0, "mod"), "<b>"),
+        (("g", 0, "mod", 0), "b"),
+        (("g", "|"), "T"),
+        (("sem",), "S & [mod: <a | M>]"),
+        (("sem", "mod"), "<a | M>"),
+        (("sem", "mod", 0), "a"),
+        (("sem", "mod", "|"), "M"),
+        (("sem", "|"), "S"),
+    ]
+
+
+def deep_value(depth):
+    """Records and lists alternating ``depth`` deep around one variable."""
+    v = Var("X")
+    for level in range(depth):
+        v = Avm((("f", v),)) if level % 2 else ListVal((v,))
+    return v
+
+
+def test_variables_of_a_5000_deep_value():
+    try:
+        tags = [x.tag for x in variables(deep_value(5000))]
+    except RecursionError:  # failed here, since pytest's report of it takes minutes
+        pytest.fail("variables recursed")
+    assert tags == ["X"]
 
 
 # ---------------------------------------------------------------------------

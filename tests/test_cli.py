@@ -266,6 +266,12 @@ def test_json_output_is_deterministic(capsys):
              'lex "ice cream": [cat: n, sem: [rel: icecream]].\n')
       for argv in (["check", "--grammar", "GOAL"],
                    ["parse", "ice cream", "--grammar", "GOAL"])],
+    # a bare variable for sem, written in the goal or wrapped from a bare sem
+    # (a budget, since the baseline would search its whole budget on one)
+    *[([command, "--grammar", GRAMMAR, "--sem", "GOAL", "--budget", "1000"],
+       "[cat: np, sem: X]") for command in ("generate", "roundtrip", "compare")],
+    (["analyze", "--grammar", GRAMMAR, "--sem", "GOAL"], "[cat: np, sem: X]"),
+    (["generate", "--grammar", GRAMMAR, "--sem", "GOAL", "--budget", "1000"], "X"),
 ])
 def test_malformed_input_exits_3_with_one_error_line(capsys, tmp_path, argv, goal):
     if goal is not None:
@@ -422,6 +428,16 @@ def test_analyze_goal_without_sem_exits_3(capsys, tmp_path):
     code, out, err = run(capsys, "analyze", "--grammar", GRAMMAR, "--sem", str(sem))
     assert code == EXIT_INPUT
     assert err == "error: goal has no sem feature\n" and out == ""
+
+
+@pytest.mark.parametrize("command", ["generate", "roundtrip", "analyze"])
+def test_goal_whose_sem_is_a_bare_variable_exits_3(capsys, tmp_path, command):
+    # generating from it would give every np the lexicon has
+    sem = tmp_path / "goal.sem"
+    sem.write_text("[cat: np, sem: X]")
+    code, out, err = run(capsys, command, "--grammar", GRAMMAR, "--sem", str(sem))
+    assert code == EXIT_INPUT
+    assert err == "error: goal sem is a bare variable\n" and out == ""
 
 
 def test_check_warns_without_nonsk_paths(capsys, tmp_path):
@@ -605,3 +621,79 @@ def test_fuzzed_files_load_or_exit_3_with_one_error_line(fuzz_dir, case):
         if code == EXIT_INPUT:
             assert err.getvalue().startswith("error: ") \
                 and err.getvalue().count("\n") == 1, err.getvalue()
+
+
+# Adversarial grammars, end to end: no lexicon, two non-kernel paths, and a
+# non-kernel path two records deep.
+EMPTY_LEXICON = """
+start s.
+rule 1 head 1: [cat: s, sem: S] -> [cat: v, sem: S].
+"""
+
+TWO_NONSK_PATHS = """
+start np.
+nonsk sem.mod.
+nonsk sem.adj.
+rule 1 nonsk head 2: [cat: np, sem: N, sem: [mod: <M | Ms>]]
+  -> [cat: det, sem: M], [cat: np, sem: N, sem: [mod: Ms]].
+rule 2 nonsk head 2: [cat: np, sem: N, sem: [adj: <M | Ms>]]
+  -> [cat: adj, sem: M], [cat: np, sem: N, sem: [adj: Ms]].
+lex "dog": [cat: np, sem: [rel: dog, mod: <>, adj: <>]].
+lex "big": [cat: adj, sem: big].
+lex "the": [cat: det, sem: the].
+"""
+
+DEEP_NONSK_PATH = """
+start np.
+nonsk sem.info.mods.
+rule 1 nonsk head 2: [cat: np, sem: N, sem: [info: [mods: <M | Ms>]]]
+  -> [cat: adj, sem: M], [cat: np, sem: N, sem: [info: [mods: Ms]]].
+lex "dog": [cat: np, sem: [rel: dog, info: [mods: <>]]].
+lex "big": [cat: adj, sem: big].
+lex "old": [cat: adj, sem: old].
+"""
+
+
+def _grammar_and_goal(tmp_path, grammar, sem):
+    (tmp_path / "g.skg").write_text(grammar)
+    (tmp_path / "goal.sem").write_text(sem)
+    return ["--grammar", str(tmp_path / "g.skg"), "--sem", str(tmp_path / "goal.sem")]
+
+
+def test_a_grammar_with_an_empty_lexicon(capsys, tmp_path):
+    files = _grammar_and_goal(tmp_path, EMPTY_LEXICON, "[rel: go]")
+    code, out, _ = run(capsys, "check", *files[:2])
+    assert code == EXIT_OK and "lexicon: 0 entries\n" in out
+    code, payload, _ = run_json(capsys, "generate", *files)
+    assert code == EXIT_FAIL
+    assert (payload["outputs"], payload["steps"]) == ([], 0)
+    code, payload, _ = run_json(capsys, "roundtrip", *files)
+    assert code == EXIT_FAIL
+    assert (payload["ok"], payload["reason"]) == (False, "no-output")
+    code, out, err = run(capsys, "parse", "go", *files[:2])
+    assert code == EXIT_INPUT and err == "error: unknown token 'go'\n" and out == ""
+
+
+def test_two_non_kernel_paths(capsys, tmp_path):
+    files = _grammar_and_goal(tmp_path, TWO_NONSK_PATHS,
+                              "[rel: dog, mod: <the>, adj: <big>]")
+    code, payload, _ = run_json(capsys, "generate", *files)
+    assert code == EXIT_OK
+    assert (payload["outputs"], payload["steps"]) == (["big the dog", "the big dog"], 85)
+    files = _grammar_and_goal(tmp_path, TWO_NONSK_PATHS,
+                              "[rel: dog, mod: <the>, adj: <big, big>]")
+    code, payload, _ = run_json(capsys, "roundtrip", *files)
+    assert code == EXIT_OK and payload["ok"]
+    assert sorted(o["surface"] for o in payload["outputs"]) == [
+        "big big the dog", "big the big dog", "the big big dog"]
+
+
+def test_a_non_kernel_path_two_records_deep(capsys, tmp_path):
+    files = _grammar_and_goal(tmp_path, DEEP_NONSK_PATH,
+                              "[rel: dog, info: [mods: <big, old>]]")
+    code, payload, _ = run_json(capsys, "generate", *files)
+    assert code == EXIT_OK
+    assert (payload["outputs"], payload["steps"]) == (["big old dog"], 58)
+    code, payload, _ = run_json(capsys, "roundtrip", *files)
+    assert code == EXIT_OK and payload["ok"]
+    assert [o["surface"] for o in payload["outputs"]] == ["big old dog"]

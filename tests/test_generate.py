@@ -218,6 +218,8 @@ def test_generation_error_on_missing_cat(grammar):
     # the first fault in reading order: the first list item's
     ("[cat: np, sem: [rel: sentence, def: +, mod: <[arg: [mod: a]], [mod: b]>]]",
      "non-kernel path mod.arg.mod holds a non-list value"),
+    # a goal that leaves its whole sem open
+    ("[cat: np, sem: X]", "goal sem is a bare variable"),
 ])
 def test_every_generator_rejects_a_malformed_goal(grammar, goal, message):
     goal = P(goal)

@@ -7,7 +7,7 @@ import random
 import pytest
 
 import skg
-from skg import ABSENT, get, load_grammar, normalize, parse_value
+from skg import ABSENT, Atom, Avm, get, load_grammar, normalize, parse_value
 from skg.kernel import (
     decompose,
     is_sk,
@@ -17,7 +17,9 @@ from skg.kernel import (
     normalize_nonsk,
     sk_of,
 )
+from skg.search import check_goal
 from oracle import random_goal, recompose
+from test_avm import READING, deep_value
 
 TWO_PATHS = "nonsk sem.a.b.\nnonsk sem.mod.\n"
 
@@ -36,6 +38,23 @@ def test_nonsk_sites_reach_records_inside_list_items(grammar):
     assert list(nonsk_sites(P("<[mod: <c>], d>"), grammar)) == [
         ((0,), ("mod",), P("<c>"))]
     assert list(nonsk_sites(P("atom"), grammar)) == []
+
+
+def test_nonsk_sites_come_in_reading_order(grammar):
+    sem = P(READING)
+    assert list(nonsk_sites(sem, grammar)) == [
+        ((), ("mod",), ABSENT),
+        (("g", 0), ("mod",), P("<b>")),
+        (("sem",), ("mod",), get(sem, ("sem", "mod"))),
+    ]
+
+
+def test_goal_check_and_sites_of_a_5000_deep_value(grammar):
+    sem = deep_value(5000)
+    check_goal(Avm((("cat", Atom("np")), ("sem", sem))), grammar)
+    sites = list(nonsk_sites(sem, grammar))
+    assert len(sites) == 2500 and all(at is ABSENT for _, _, at in sites)
+    assert len(sites[-1][0]) == 4998
 
 
 def test_nonsk_sites_of_a_two_segment_path():

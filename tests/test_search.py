@@ -277,8 +277,8 @@ def test_a_finished_search_frees_its_environment(grammar, np_goal, monkeypatch):
 
 
 def test_value_walks_leave_no_cycles(grammar, np_goal, sentence_goal):
-    # normalize, subsumes and substructures recurse through module-level
-    # helpers, and normalize_nonsk walks with a generator; a recursive
+    # normalize and subsumes recurse through module-level helpers, and
+    # substructures and normalize_nonsk walk with generators; a recursive
     # closure is a reference cycle per call, which only the cycle
     # collector frees
     def calls():
