@@ -98,6 +98,9 @@ def cmd_check(args):
     grown = {".".join(("sem",) + r.nonsk_path) for r in grammar.rules if r.nonsk_path}
     warnings = [] if paths else ["no non-kernel paths declared"]
     warnings += [f"no rule grows non-kernel path {p}" for p in paths if p not in grown]
+    built = {e.cat for e in grammar.lexicon} | {r.mother_cat for r in grammar.rules}
+    unbuilt = dict.fromkeys(d for *_, ds in rows for d in ds if d not in built)
+    warnings += [f"no entry or rule builds category {c}" for c in unbuilt]
     warnings += [f"unary rule cycle over {', '.join(cats)}: rule {', '.join(ids)}"
                  for cats, ids in unary_cycles(grammar.rules)]
     payload = {
@@ -166,6 +169,8 @@ def cmd_roundtrip(args):
             {"surface": s, "coherent": c, "complete": k}
             for s, c, k in report.entries
         ],
+        "steps": report.generation.steps_used,
+        "check_steps": report.check_steps,
     }
     lines = [f"roundtrip: {'pass' if report.ok else 'FAIL'} ({report.reason})"]
     for s, c, k in report.entries:
@@ -175,6 +180,7 @@ def cmd_roundtrip(args):
         if not k:
             marks.append("incomplete")
         lines.append(f"  {s}" + (f"  [{', '.join(marks)}]" if marks else ""))
+    lines.append(f"check steps: {report.check_steps}")
     return payload, lines, _status(report.reason == "budget-exhausted", report.ok)
 
 

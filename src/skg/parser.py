@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .avm import ABSENT, Atom, Avm, Value, get, normalize, subsumes
+from .avm import ABSENT, Atom, Avm, Value, _match, get, normalize
 from .generator import generate
 from .grammar import Grammar
 from .kernel import normalize_nonsk
@@ -51,8 +51,10 @@ def _token_pivots(tokens, link):
 
 
 def parse(grammar: Grammar, tokens, cfg: GenConfig = None,
-          root_cat: str = None) -> ParseResult:
-    """All complete analyses of the token sequence under the grammar."""
+          root_cat: str = None, until=None) -> ParseResult:
+    """All complete analyses of the token sequence under the grammar, in the
+    order found; with ``until``, those up to the first whose normalized sem
+    ``until`` accepts, where the search stops."""
     cfg = cfg or GenConfig()
     if isinstance(tokens, str):
         tokens = tokenize_sentence(tokens)
@@ -62,16 +64,17 @@ def parse(grammar: Grammar, tokens, cfg: GenConfig = None,
     for t in tokens:
         if not grammar.entries_for(t):
             raise ParseError(f"unknown token {t!r}")
-    root_cat = root_cat or grammar.start
     search = Search(grammar, cfg, grammar.tables.left,
                     _token_pivots(tokens, left_corner_table(grammar)))
     env = search.env
-    goal = env.instantiate(Avm((("cat", Atom(root_cat)),)), {})
+    goal = env.instantiate(Avm((("cat", Atom(root_cat or grammar.start)),)), {})
     analyses = []
-    for deriv, end, merged in search.run(goal, 0):
+    solutions = search.run(goal, 0)
+    for deriv, end, merged in solutions:
         if end == len(tokens):
-            sem = get(env.resolve(merged), ("sem",))
-            analyses.append((normalize(sem) if sem is not ABSENT else ABSENT, deriv))
+            analyses.append((normalize(get(env.resolve(merged), ("sem",))), deriv))
+            if until is not None and until(analyses[-1][0]):
+                solutions.close()  # drive's finally closes the sub-searches
     return ParseResult(analyses, search.env.steps, search.exhausted)
 
 
@@ -87,38 +90,44 @@ def check_output(grammar: Grammar, tokens, root_cat: str,
     Coherence: some parse of the string means no more than the input.
     Completeness: some parse means no less.  Both must hold for a single
     analysis for the output to count as clean; a parse that runs out of
-    budget without one gives ``["budget-exhausted"]``.
+    budget without one gives ``["budget-exhausted"]``.  The analyses are
+    read one at a time, and the parse stops at the first clean one.
     """
+    return _check(grammar, tokens, root_cat, input_sem, cfg or GenConfig())[0]
+
+
+def _check(grammar, tokens, root_cat, input_sem, cfg):
+    """:func:`check_output`'s failures, and the steps its parse took."""
     if input_sem is ABSENT:
-        return []
-    try:
-        result = parse(grammar, tokens, cfg or GenConfig(), root_cat)
-    except ParseError:
-        return ["no-parse"]
-    if not result.analyses:
-        return ["budget-exhausted" if result.exhausted_budget else "no-parse"]
+        return [], 0
     want = normalize_nonsk(input_sem, grammar)
-    best = None
-    for sem, _ in result.analyses:
+    found = []  # the failures of each analysis with a sem, in the order found
+
+    def clean(sem):
         if sem is ABSENT:
-            continue
+            return False
+        # the values compared are normal forms already, so none is normalized again
         failures = []
         # Coherent: the analysis claims nothing beyond the input.  The
         # raw reading is used, so an absent or open modifier list makes
         # no claim.
-        if not subsumes(sem, want):
+        if not _match(sem, want, {}):
             failures.append("incoherent")
         # Complete: under the minimal reading the analysis still covers
         # everything the input specified.
-        if not subsumes(want, normalize_nonsk(sem, grammar)):
+        if not _match(want, normalize_nonsk(sem, grammar), {}):
             failures.append("incomplete")
-        if not failures:
-            return []
-        if best is None or len(failures) < len(best):
-            best = failures
-    if result.exhausted_budget:
-        return ["budget-exhausted"]
-    return best if best is not None else ["no-semantics"]
+        found.append(failures)
+        return not failures
+
+    try:
+        result = parse(grammar, tokens, cfg, root_cat, clean)
+    except ParseError:
+        return ["no-parse"], 0
+    if result.exhausted_budget:  # a clean analysis stops the search first
+        return ["budget-exhausted"], result.steps_used
+    best = min(found, key=len, default=["no-semantics" if result.analyses else "no-parse"])
+    return best, result.steps_used
 
 
 @dataclass
@@ -128,6 +137,7 @@ class RoundTripReport:
     entries: list = field(default_factory=list)
     # entries: (surface string, coherent, complete)
     generation: object = None
+    check_steps: int = 0  # the check parses' steps, each parse with its own budget
 
 
 def roundtrip(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> RoundTripReport:
@@ -140,18 +150,15 @@ def roundtrip(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> RoundTrip
         return RoundTripReport(False, "no-output", [], result)
     root_cat = get(goal, ("cat",)).name  # generate has checked it is an atom
     input_sem = get(goal, ("sem",))
-    entries = []
-    ok = True
-    checked = set()
-    for tokens, _deriv, _root in result.outputs:
-        if tokens in checked:
-            continue
-        checked.add(tokens)
-        failures = check_output(grammar, tokens, root_cat, input_sem, cfg)
+    entries, reason, check_steps = [], "pass", 0
+    for tokens in dict.fromkeys(tokens for tokens, _, _ in result.outputs):
+        failures, steps = _check(grammar, tokens, root_cat, input_sem, cfg)
+        check_steps += steps
         if failures == ["budget-exhausted"]:  # as for generation: no verdict
-            return RoundTripReport(False, "budget-exhausted", entries, result)
+            reason = "budget-exhausted"
+            break
         coherent = not {"incoherent", "no-parse"}.intersection(failures)
         complete = not {"incomplete", "no-parse", "no-semantics"}.intersection(failures)
         entries.append((" ".join(tokens), coherent, complete))
-        ok = ok and not failures
-    return RoundTripReport(ok, "pass" if ok else "check-failed", entries, result)
+        reason = "check-failed" if failures else reason
+    return RoundTripReport(reason == "pass", reason, entries, result, check_steps)

@@ -125,6 +125,7 @@ def test_roundtrip(capsys):
     assert code == EXIT_OK
     assert payload["ok"] and payload["reason"] == "pass"
     assert all(o["coherent"] and o["complete"] for o in payload["outputs"])
+    assert (payload["steps"], payload["check_steps"]) == (367, 364)
 
 
 def test_compare_disagrees_under_budget(capsys):
@@ -398,7 +399,9 @@ def test_roundtrip_flags_an_incomplete_output(capsys, tmp_path):
     argv = ["roundtrip", "--grammar", GRAMMAR, "--sem", str(sem)]
     code, out, _ = run(capsys, *argv)
     assert code == EXIT_FAIL
-    assert out == "roundtrip: FAIL (check-failed)\n  the sentence  [incomplete]\n"
+    # no analysis is clean, so the check parse runs to its end
+    assert out == ("roundtrip: FAIL (check-failed)\n  the sentence  [incomplete]\n"
+                   "check steps: 20\n")
     code, payload, _ = run_json(capsys, *argv)
     assert code == EXIT_FAIL
     assert payload["outputs"] == [
@@ -409,7 +412,7 @@ def test_roundtrip_budget_exhausted(capsys):
     code, out, _ = run(capsys, "roundtrip", "--grammar", GRAMMAR, "--sem", NP_SEM,
                        "--budget", "5")
     assert code == EXIT_BUDGET
-    assert out == "roundtrip: FAIL (budget-exhausted)\n"
+    assert out == "roundtrip: FAIL (budget-exhausted)\ncheck steps: 0\n"
 
 
 def test_compare_agrees(capsys, tmp_path):
@@ -507,7 +510,7 @@ def test_roundtrip_fails_an_output_whose_parse_has_no_semantics(capsys, tmp_path
     sem.write_text("[cat: s, sem: [rel: x]]")
     code, out, _ = run(capsys, "roundtrip", "--grammar", str(grammar), "--sem", str(sem))
     assert code == EXIT_FAIL
-    assert out == "roundtrip: FAIL (check-failed)\n  w  [incomplete]\n"
+    assert out == "roundtrip: FAIL (check-failed)\n  w  [incomplete]\ncheck steps: 8\n"
     code, payload, _ = run_json(capsys, "generate", "--algo", "shdg", "--budget", "1000",
                                 "--grammar", str(grammar), "--sem", str(sem))
     assert payload["partial_outputs"] == [{"surface": "w", "failures": ["no-semantics"]}]
@@ -664,6 +667,11 @@ def test_a_grammar_with_an_empty_lexicon(capsys, tmp_path):
     files = _grammar_and_goal(tmp_path, EMPTY_LEXICON, "[rel: go]")
     code, out, _ = run(capsys, "check", *files[:2])
     assert code == EXIT_OK and "lexicon: 0 entries\n" in out
+    assert "warning: no entry or rule builds category v\n" in out
+    code, payload, _ = run_json(capsys, "check", *files[:2])
+    assert code == EXIT_OK
+    assert payload["warnings"] == ["no non-kernel paths declared",
+                                   "no entry or rule builds category v"]
     code, payload, _ = run_json(capsys, "generate", *files)
     assert code == EXIT_FAIL
     assert (payload["outputs"], payload["steps"]) == ([], 0)

@@ -1,5 +1,7 @@
 """Left-corner parser and round-trip checking tests."""
 
+import gc
+
 import pytest
 
 import skg.parser
@@ -17,6 +19,7 @@ from skg import (
     tokenize_sentence,
 )
 from skg.kernel import normalize_nonsk
+from skg.search import Search
 
 
 def P(text):
@@ -128,11 +131,12 @@ def test_roundtrip_reports_an_exhausted_check(grammar, np_goal, monkeypatch):
     # generation here always takes more steps than parsing its output, so
     # only the check parse is given the small budget
     full = skg.parser.parse
-    monkeypatch.setattr(skg.parser, "parse", lambda g, tokens, cfg, root_cat: full(
-        g, tokens, GenConfig(step_budget=5), root_cat))
+    monkeypatch.setattr(skg.parser, "parse", lambda g, tokens, cfg, root_cat, until: full(
+        g, tokens, GenConfig(step_budget=5), root_cat, until))
     report = roundtrip(grammar, np_goal)
     assert (report.ok, report.reason) == (False, "budget-exhausted")
     assert report.entries == []
+    assert report.check_steps == 6  # the step that passed the budget included
 
 
 def test_roundtrip_sentence(grammar, sentence_goal):
@@ -146,3 +150,48 @@ def test_roundtrip_no_output(grammar):
     report = roundtrip(grammar, P("[cat: np, sem: [rel: unicorn, def: +]]"))
     assert not report.ok
     assert report.reason == "no-output"
+
+
+# "quickly" before the verb attaches below or above the object, so this
+# output of the sentence goal with one adverb has two analyses with one
+# semantics
+TWO_ANALYSES = ("the", "program", "quickly", "generated", "the", "sentence")
+TWO_ANALYSES_SEM = P("[mod: <quick>, pred: generate, arg1: [def: +, mod: <>, rel: program],"
+                     " arg2: [def: +, mod: <>, rel: sentence]]")
+
+
+def test_check_stops_at_the_first_clean_analysis(grammar):
+    full = parse(grammar, TWO_ANALYSES)
+    assert len(full.analyses) == 2 and not full.exhausted_budget
+    assert check_output(grammar, TWO_ANALYSES, "s", TWO_ANALYSES_SEM) == []
+    failures, steps = skg.parser._check(grammar, TWO_ANALYSES, "s", TWO_ANALYSES_SEM,
+                                        GenConfig())
+    assert failures == [] and steps < full.steps_used
+
+
+def test_check_without_a_clean_analysis_reads_them_all(grammar, np_goal):
+    # "the sentence" is not complete for "the complex sentence"
+    sem = get(np_goal, ("sem",))
+    full = parse(grammar, "the sentence", root_cat="np")
+    assert full.analyses and not full.exhausted_budget
+    failures, steps = skg.parser._check(grammar, ("the", "sentence"), "np", sem,
+                                        GenConfig())
+    assert failures == ["incomplete"] and steps == full.steps_used
+
+
+def test_an_early_stop_closes_the_search(grammar, monkeypatch):
+    runs = []
+    original = Search.run
+    monkeypatch.setattr(Search, "run", lambda search, goal, pos=None: runs.append(
+        original(search, goal, pos)) or runs[-1])
+    assert check_output(grammar, TWO_ANALYSES, "s", TWO_ANALYSES_SEM) == []
+    # closed, so drive has closed the sub-searches it held
+    assert [run.gi_frame for run in runs] == [None]
+    runs.clear()
+    gc.collect()
+    gc.disable()
+    try:
+        assert check_output(grammar, TWO_ANALYSES, "s", TWO_ANALYSES_SEM) == []
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

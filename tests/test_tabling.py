@@ -28,6 +28,7 @@ from skg import (
     parse,
     parse_value,
     render,
+    roundtrip,
     serialize_grammar,
 )
 from skg.generator import _kernel_pivots
@@ -323,24 +324,36 @@ def test_ladder_steps_exact(grammar, k, steps):
     assert generate(grammar, ladder_goal(k)).steps_used == steps
 
 
+# The round-trip check's parses stop at the first clean analysis.
+@pytest.mark.parametrize("k, steps", enumerate(
+    [110, 364, 802, 1_460, 2_375, 3_584, 5_124, 7_032]))
+def test_ladder_check_steps_exact(grammar, k, steps):
+    report = roundtrip(grammar, ladder_goal(k))
+    assert report.ok and report.check_steps == steps
+
+
 def test_fixture_steps_exact(grammar, np_goal, sentence_goal):
     assert generate(grammar, np_goal).steps_used == 57
     assert generate(grammar, sentence_goal).steps_used == 367
 
 
 def test_random_goal_step_totals_exact(grammar):
-    """The steps ``generate`` takes on distinct random goals, and ``parse`` on
-    every distinct output, with and without the root category."""
+    """The steps ``generate`` takes on distinct random goals, the round-trip
+    check's parses of their outputs, and ``parse`` on every distinct output,
+    with and without the root category."""
     rng = random.Random(7)
     goals = list({normalize(g): g for g in (random_goal(rng) for _ in range(200))}.values())
-    outputs, generated = set(), 0
+    outputs, generated, checked = set(), 0, 0
     for goal in goals:
-        result = generate(grammar, goal)
-        generated += result.steps_used
-        outputs.update((s, goal.get("cat").name) for s in result.surfaces)
+        report = roundtrip(grammar, goal)
+        assert report.ok
+        generated += report.generation.steps_used
+        checked += report.check_steps
+        outputs.update((s, goal.get("cat").name) for s in report.generation.surfaces)
     parses = [parse(grammar, s, root_cat=root).steps_used
               for s, cat in sorted(outputs) for root in (None, cat)]
     assert (len(goals), generated) == (135, 25_828)
+    assert checked == 21_837  # 27,468 when each check parse read every analysis
     assert (len(parses), sum(parses)) == (454, 54_979)
 
 
