@@ -129,8 +129,9 @@ class Env:
     two records, binds each unbound rest to the features only the other
     record lists, so a record's rest can be bound to a record with a rest
     of its own; :meth:`_fold` reads such a chain.  :meth:`_bind_acyclic`
-    makes the bindings that get an occurs check; ``unify``'s rebinding of
-    the variables it walked through gets none.
+    makes the bindings that get an occurs check.  After ``unify`` merges
+    two values, the last bound variable on each side is rebound to the
+    merged value, with no occurs check (ROADMAP item 10).
 
     ``ends`` is the occurs check's memo, kept per binding: a variable
     bound to an atom, or to a list whose items are atoms or variables
@@ -278,46 +279,41 @@ class Env:
         links so reentrant positions keep co-evolving.
         """
         self.tick()
-        a_chain, a = self._walk_chain(a)
-        b_chain, b = self._walk_chain(b)
+        bindings, a_arg, b_arg = self.bindings, a, b
+        a_last = b_last = None  # the last bound variable walked on each side
+        while type(a) is Var and a.tag in bindings:
+            a_last, a = a, bindings[a.tag]
+        while type(b) is Var and b.tag in bindings:
+            b_last, b = b, bindings[b.tag]
         if a is b:
-            if a_chain:
-                return a_chain[0]
-            return b_chain[0] if b_chain else a
-        if isinstance(a, Var) and isinstance(b, Var):
-            if a.tag != b.tag:
-                self.bind(b.tag, a)
-            return a
-        if isinstance(a, Var):
+            return b_arg if a_last is None and b_last is not None else a_arg
+        kind = type(a)
+        if kind is Var:
+            if type(b) is Var:
+                if a.tag != b.tag:
+                    self.bind(b.tag, a)
+                return a
             return a if self._bind_acyclic(a, b) else None
-        if isinstance(b, Var):
+        if type(b) is Var:
             return b if self._bind_acyclic(b, a) else None
-
-        if isinstance(a, Atom) and isinstance(b, Atom):
-            merged = a if a.name == b.name else None
-        elif isinstance(a, Avm) and isinstance(b, Avm):
-            merged = self._merge_records(a, b)
-        elif isinstance(a, ListVal) and isinstance(b, ListVal):
-            merged = self._merge_lists(a, b)
-        else:
+        if kind is not type(b):
             return None
+        if kind is Atom:
+            merged = a if a.name == b.name else None
+        elif kind is Avm:
+            merged = self._merge_records(a, b)
+        else:
+            merged = self._merge_lists(a, b) if kind is ListVal else None
         if merged is None:
             return None
-        # Rebind the variables we walked through so every reentrant
+        # Rebind the last walked variable of each side, so every reentrant
         # occurrence sees the merged value.
-        result = merged
-        for chain in (a_chain, b_chain):
-            if chain:
-                self.bind(chain[-1].tag, merged)
-                result = chain[0]
-        return result
-
-    def _walk_chain(self, v: Value):
-        chain = []
-        while isinstance(v, Var) and v.tag in self.bindings:
-            chain.append(v)
-            v = self.bindings[v.tag]
-        return chain, v
+        if a_last is not None:
+            self.bind(a_last.tag, merged)
+        if b_last is not None:
+            self.bind(b_last.tag, merged)
+            return b_arg
+        return merged if a_last is None else a_arg
 
     def _fold(self, record: Avm) -> Avm:
         """``record`` with its bound rests folded in by restriction: a feature the

@@ -99,7 +99,8 @@ def cmd_check(args):
     warnings = [] if paths else ["no non-kernel paths declared"]
     warnings += [f"no rule grows non-kernel path {p}" for p in paths if p not in grown]
     built = {e.cat for e in grammar.lexicon} | {r.mother_cat for r in grammar.rules}
-    unbuilt = dict.fromkeys(d for *_, ds in rows for d in ds if d not in built)
+    wanted = (grammar.start, *(d for *_, ds in rows for d in ds))
+    unbuilt = dict.fromkeys(c for c in wanted if c not in built)
     warnings += [f"no entry or rule builds category {c}" for c in unbuilt]
     warnings += [f"unary rule cycle over {', '.join(cats)}: rule {', '.join(ids)}"
                  for cats, ids in unary_cycles(grammar.rules)]

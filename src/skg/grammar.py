@@ -294,8 +294,12 @@ def load_grammar(text: str) -> Grammar:
             stream.error(f"expected a statement keyword, found {word!r}")
         stream.next()
         if word == "start":
-            start = stream.expect("name")
+            cat = stream.expect("name")
             stream.expect("punct", ".")
+            if start not in (None, cat):
+                raise GrammarError(
+                    f"start category {cat} after start category {start} (line {line})")
+            start = cat
         elif word == "nonsk":
             path = stream.path()
             stream.expect("punct", ".")

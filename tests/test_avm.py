@@ -341,6 +341,45 @@ def test_occurs_memo_follows_rebinding_and_undo():
     assert env.occurs("X", Var("W"))
 
 
+def test_unify_rebinds_the_last_variable_of_a_chain():
+    env = Env()
+    env.bind("V1", Var("V2"))
+    env.bind("V2", P("[f: a]"))
+    assert env.unify(Var("V1"), P("[g: b]")) == Var("V1")
+    assert env.bindings["V2"] == P("[f: a, g: b]")
+    assert env.bindings["V1"] == Var("V2")
+
+
+def test_unify_rebinds_both_chains_to_one_record():
+    env = Env()
+    for tag, value in (("A1", Var("A2")), ("A2", P("[f: a]")),
+                       ("B1", Var("B2")), ("B2", P("[g: b]"))):
+        env.bind(tag, value)
+    mark = env.mark()
+    assert env.unify(Var("A1"), Var("B1")) == Var("B1")
+    assert env.bindings["A2"] is env.bindings["B2"]
+    assert env.bindings["A2"] == P("[f: a, g: b]")
+    assert env.mark() == mark + 2
+
+
+def test_unify_of_two_variables_bound_to_one_object_binds_nothing():
+    env = Env()
+    record = P("[f: a]")
+    env.bind("X1", record)
+    env.bind("Y1", record)
+    mark = env.mark()
+    assert env.unify(Var("X1"), Var("Y1")) == Var("X1")
+    assert (env.steps, env.mark()) == (1, mark)
+
+
+def test_unify_of_one_unbound_variable_with_itself_binds_nothing():
+    env = Env()
+    a, b = Var("X"), Var("X")
+    assert a is not b
+    assert env.unify(a, b) == Var("X")
+    assert env.bindings == {} and env.trail == []
+
+
 def test_unify_open_lists():
     u = unify(P("<a | T>"), P("<a, b, c>"))
     assert normalize(u) == P("<a, b, c>")

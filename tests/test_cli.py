@@ -259,6 +259,8 @@ def test_json_output_is_deterministic(capsys):
                    "[cat: np, sem: [rel: sentence, def: +, mod: <complex | T>]]",
                    "[cat: np]")
       for command in ("generate", "roundtrip", "compare", "analyze")],
+    # a second start category
+    (["check", "--grammar", "GOAL"], "start s.\nstart np.\n"),
     # a grammar or goal file that is not UTF-8
     (["check", "--grammar", "GOAL"], b"start s.\n\xff\n"),
     (["generate", "--grammar", GRAMMAR, "--sem", "GOAL"], b"[cat: np, sem: \xff]"),
@@ -487,6 +489,16 @@ def test_check_warns_about_a_non_kernel_path_no_rule_grows(capsys, tmp_path):
     code, payload, _ = run_json(capsys, "check", "--grammar", str(grammar))
     assert code == EXIT_OK
     assert payload["warnings"] == ["no rule grows non-kernel path sem.mod"]
+
+
+def test_check_warns_about_a_start_category_nothing_builds(capsys, tmp_path):
+    grammar = tmp_path / "nostart.skg"
+    grammar.write_text("start x.\nrule 1 head 1: [cat: s, sem: S] -> [cat: v, sem: S].\n"
+                       'lex "go": [cat: v, sem: [pred: go]].\n')
+    code, payload, _ = run_json(capsys, "check", "--grammar", str(grammar))
+    assert code == EXIT_OK
+    assert payload["warnings"] == ["no non-kernel paths declared",
+                                   "no entry or rule builds category x"]
 
 
 def test_missing_semantics_file(capsys):

@@ -1,5 +1,7 @@
 """Kernel-driven generation tests."""
 
+import json
+
 import pytest
 from oracle import oracle_surfaces
 
@@ -94,6 +96,13 @@ def test_deterministic(grammar, sentence_goal):
     b = generate(grammar, sentence_goal)
     assert [o[0] for o in a.outputs] == [o[0] for o in b.outputs]
     assert a.steps_used == b.steps_used
+
+
+def test_parity_dump_of_the_fixtures_repeats(grammar):
+    import parity
+    lines = list(parity.fixture_lines(grammar))
+    assert lines == list(parity.fixture_lines(grammar))
+    assert [json.loads(line)[4] for line in lines[:3:2]] == [57, 367]  # generate steps
 
 
 def test_trace_names_rules_and_entries(grammar, np_goal):

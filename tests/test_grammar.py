@@ -103,6 +103,17 @@ def test_minimal_grammar_loads():
     assert g.rules[0].sk_class == SK
 
 
+def test_a_second_start_category_is_rejected():
+    # MINI declares x on line 2 and ends with line 5
+    with pytest.raises(GrammarError,
+                       match=r"^start category y after start category x \(line 6\)$"):
+        load_grammar(MINI + "start y.\n")
+
+
+def test_the_same_start_category_twice_loads():
+    assert load_grammar(MINI + "start x.\n").start == "x"
+
+
 def test_duplicate_rule_id_rejected():
     bad = MINI + 'rule r1 head 1: [cat: x, sem: S] -> [cat: y, sem: S].\n'
     with pytest.raises(GrammarError, match="duplicate"):
