@@ -17,7 +17,11 @@ A record with a rest is what a repeated feature such as ``sem: S, sem:
 [mod: Mods]`` parses to, and it is how a rule shares all of a value
 except one feature between mother and daughter: the restriction of
 Kaplan & Wedekind (1993, *Restriction and correspondence-based
-translation*).  A feature the record lists wins over its rest's.
+translation*).  A feature the record lists wins over its rest's.  Values
+are slotted and immutable: assigning or deleting a field raises
+``AttributeError``, and ``copy``, ``deepcopy`` and ``pickle`` rebuild a
+value through ``__init__`` (:class:`Frozen`, as for the package's other
+immutable classes).
 
 All public operations are pure: they never mutate their inputs and
 return normalized results.  Destructive, trailed unification (used by
@@ -33,7 +37,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterator, Optional, Union
 
@@ -43,26 +46,98 @@ Value = Union["Atom", "Var", "Avm", "ListVal"]
 ABSENT = object()
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
+class Record:
+    """Field-wise ``==`` and ``repr`` over the attributes named in ``_fields``."""
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Frozen(Record):
+    """A hashable :class:`Record` whose fields are its ``__slots__``, set once
+    in ``__init__`` through the slot descriptors (``_setters``); assigning or
+    deleting an attribute raises ``AttributeError``, and ``copy``, ``deepcopy``
+    and ``pickle`` rebuild an instance through ``__init__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = cls.__slots__
+        cls._setters = tuple(getattr(cls, f).__set__ for f in cls.__slots__)
+
+    def _init(self, *values):
+        for set_field, value in zip(self._setters, values):
+            set_field(self, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class Atom(Frozen):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _atom_name(self, name)
+
+    def __eq__(self, other):
+        return type(other) is Atom and self.name == other.name
+
+    def __hash__(self):
+        return hash((self.name,))
 
     def __repr__(self):
         return f"Atom({self.name!r})"
 
 
-@dataclass(frozen=True)
-class Var:
-    tag: str
+class Var(Frozen):
+    __slots__ = ("tag",)
+
+    def __init__(self, tag: str):
+        _var_tag(self, tag)
+
+    def __eq__(self, other):
+        return type(other) is Var and self.tag == other.tag
+
+    def __hash__(self):
+        return hash((self.tag,))
 
     def __repr__(self):
         return f"Var({self.tag!r})"
 
 
-@dataclass(frozen=True)
-class Avm:
-    pairs: tuple  # tuple[(feature, Value), ...], unique features
-    rest: Optional["Var"] = None  # None, or the variable for the unlisted features
+class Avm(Frozen):
+    __slots__ = ("pairs", "rest")  # ((feature, Value), ...), unique features; None or a Var
+
+    def __init__(self, pairs: tuple, rest: Optional[Var] = None):
+        _avm_pairs(self, pairs)
+        _avm_rest(self, rest)
+
+    def __eq__(self, other):
+        return (type(other) is Avm and self.pairs == other.pairs
+                and self.rest == other.rest)
+
+    def __hash__(self):
+        return hash((self.pairs, self.rest))
 
     def get(self, feature: str):
         """The value the record lists for ``feature``, or ABSENT."""
@@ -78,16 +153,29 @@ class Avm:
         return f"Avm[{inner}]"
 
 
-@dataclass(frozen=True)
-class ListVal:
-    items: tuple  # tuple[Value, ...]
-    tail: Optional["Var"] = None  # None means the list is closed
+class ListVal(Frozen):
+    __slots__ = ("items", "tail")  # a tuple of values; None (a closed list) or a Var
+
+    def __init__(self, items: tuple, tail: Optional[Var] = None):
+        _list_items(self, items)
+        _list_tail(self, tail)
+
+    def __eq__(self, other):
+        return (type(other) is ListVal and self.items == other.items
+                and self.tail == other.tail)
+
+    def __hash__(self):
+        return hash((self.items, self.tail))
 
     def __repr__(self):
         body = ", ".join(repr(i) for i in self.items)
         if self.tail is not None:
             return f"ListVal<{body} | {self.tail!r}>"
         return f"ListVal<{body}>"
+
+
+(_atom_name,), (_var_tag,), (_avm_pairs, _avm_rest), (_list_items, _list_tail) = (
+    Atom._setters, Var._setters, Avm._setters, ListVal._setters)
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,6 @@ module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from .avm import ABSENT, Value, get, substructures
 from .grammar import Grammar
 from .parser import check_output
@@ -31,12 +29,15 @@ UNIFY_LINK = "unify"
 SUBSTRUCTURE_LINK = "substructure"
 
 
-@dataclass
 class BaselineResult(GenResult):
     """``outputs`` are the coherent and complete outputs; the others are
     ``partial_outputs``: (surface, deriv, root, failed checks)."""
+    _fields = GenResult._fields + ("partial_outputs",)
 
-    partial_outputs: list = field(default_factory=list)
+    def __init__(self, outputs: list, steps_used: int, exhausted_budget: bool,
+                 trace_log: list = None, partial_outputs: list = None):
+        super().__init__(outputs, steps_used, exhausted_budget, trace_log)
+        self.partial_outputs = [] if partial_outputs is None else partial_outputs
 
     @property
     def partial_surfaces(self):

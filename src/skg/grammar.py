@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple, Optional
 
@@ -28,8 +27,10 @@ from .avm import (
     Atom,
     Avm,
     AvmSyntaxError,
+    Frozen,
     ListVal,
     TokenStream,
+    Record,
     Value,
     Var,
     _Parser,
@@ -50,11 +51,11 @@ class GrammarError(ValueError):
     """Semantic error in a grammar definition."""
 
 
-@dataclass(frozen=True)
-class LexEntry:
-    surface: str
-    description: Value
-    sense: int = 0  # 0, or k for the k-th homograph: same surface and category
+class LexEntry(Frozen):
+    __slots__ = ("surface", "description", "sense")  # sense: 0, or k for homograph k
+
+    def __init__(self, surface: str, description: Value, sense: int = 0):
+        self._init(surface, description, sense)
 
     @property
     def cat(self) -> str:
@@ -67,14 +68,13 @@ class LexEntry:
         return get(self.description, ("sem",))
 
 
-@dataclass(frozen=True)
-class Rule:
-    id: str
-    mother: Value
-    daughters: tuple
-    head_index: int  # 0-based position into daughters
-    sk_class: str = SK
-    nonsk_path: Optional[tuple] = None  # sem-relative path the rule extends
+class Rule(Frozen):
+    __slots__ = ("id", "mother", "daughters", "head_index", "sk_class", "nonsk_path")
+
+    def __init__(self, id: str, mother: Value, daughters: tuple, head_index: int,
+                 sk_class: str = SK, nonsk_path: Optional[tuple] = None):
+        # head_index: into daughters, from 0; nonsk_path: the sem path it extends, or None
+        self._init(id, mother, daughters, head_index, sk_class, nonsk_path)
 
     @property
     def mother_cat(self) -> str:
@@ -106,16 +106,16 @@ class Tables(NamedTuple):
     lexicon: dict  # goal category -> the entries it head-links to, in lexicon order
 
 
-@dataclass
-class Grammar:
-    rules: list
-    lexicon: list
-    nonsk_paths: list  # list[tuple[str, ...]], relative to a node's sem
-    start: str
-    link: frozenset = field(init=False)  # head-corner (goal cat, pivot cat) pairs
+class Grammar(Record):
+    _fields = ("rules", "lexicon", "nonsk_paths", "start", "link")
 
-    def __post_init__(self):
-        self.link = link_closure(self.rules, self.lexicon, lambda r: r.head_index)
+    def __init__(self, rules: list, lexicon: list, nonsk_paths: list, start: str):
+        self.rules = rules
+        self.lexicon = lexicon
+        self.nonsk_paths = nonsk_paths  # list[tuple[str, ...]], relative to a node's sem
+        self.start = start
+        # head-corner (goal cat, pivot cat) pairs
+        self.link = link_closure(rules, lexicon, lambda r: r.head_index)
 
     @cached_property
     def left_corner(self) -> frozenset:

@@ -13,16 +13,17 @@ again when they become goals of their own.
 from __future__ import annotations
 
 from contextlib import suppress
-from dataclasses import dataclass
 
-from .avm import ABSENT, Avm, ListVal, Value, get, normalize, parts, put, subsumes
+from .avm import ABSENT, Avm, Frozen, ListVal, Value, get, normalize, parts, put, subsumes
 from .grammar import Grammar
 
 
-@dataclass(frozen=True)
-class Decomposition:
-    kernel: Value
-    nonsk_items: tuple  # tuple[(path, element), ...] in declaration order
+class Decomposition(Frozen):
+    __slots__ = ("kernel", "nonsk_items")
+
+    def __init__(self, kernel: Value, nonsk_items: tuple):
+        # nonsk_items: ((path, element), ...) in declaration order
+        self._init(kernel, nonsk_items)
 
 
 def nonsk_sites(value: Value, grammar: Grammar):

@@ -10,9 +10,7 @@ with cyclic unary projections.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .avm import ABSENT, Atom, Avm, Value, _match, get, normalize
+from .avm import ABSENT, Atom, Avm, Record, Value, _match, get, normalize
 from .generator import generate
 from .grammar import Grammar
 from .kernel import normalize_nonsk
@@ -20,14 +18,16 @@ from .search import GenConfig, Search
 
 
 class ParseError(ValueError):
-    """Unparseable request (unknown token, empty input)."""
+    """Unparseable request (unknown token or root category, empty input)."""
 
 
-@dataclass
-class ParseResult:
-    analyses: list  # list[(semantics, Derivation)]
-    steps_used: int
-    exhausted_budget: bool
+class ParseResult(Record):
+    _fields = ("analyses", "steps_used", "exhausted_budget")
+
+    def __init__(self, analyses: list, steps_used: int, exhausted_budget: bool):
+        self.analyses = analyses  # list[(semantics, Derivation)]
+        self.steps_used = steps_used
+        self.exhausted_budget = exhausted_budget
 
 
 def left_corner_table(grammar: Grammar) -> frozenset:
@@ -64,10 +64,13 @@ def parse(grammar: Grammar, tokens, cfg: GenConfig = None,
     for t in tokens:
         if not grammar.entries_for(t):
             raise ParseError(f"unknown token {t!r}")
+    root_cat = root_cat or grammar.start
+    if (root_cat, root_cat) not in grammar.link:
+        raise ParseError(f"unknown root category {root_cat!r}")
     search = Search(grammar, cfg, grammar.tables.left,
                     _token_pivots(tokens, left_corner_table(grammar)))
     env = search.env
-    goal = env.instantiate(Avm((("cat", Atom(root_cat or grammar.start)),)), {})
+    goal = env.instantiate(Avm((("cat", Atom(root_cat)),)), {})
     analyses = []
     solutions = search.run(goal, 0)
     for deriv, end, merged in solutions:
@@ -130,14 +133,16 @@ def _check(grammar, tokens, root_cat, input_sem, cfg):
     return best, result.steps_used
 
 
-@dataclass
-class RoundTripReport:
-    ok: bool
-    reason: str
-    entries: list = field(default_factory=list)
-    # entries: (surface string, coherent, complete)
-    generation: object = None
-    check_steps: int = 0  # the check parses' steps, each parse with its own budget
+class RoundTripReport(Record):
+    _fields = ("ok", "reason", "entries", "generation", "check_steps")
+
+    def __init__(self, ok: bool, reason: str, entries: list = None,
+                 generation: object = None, check_steps: int = 0):
+        self.ok = ok
+        self.reason = reason
+        self.entries = [] if entries is None else entries  # (surface, coherent, complete)
+        self.generation = generation
+        self.check_steps = check_steps  # the check parses' steps, budgeted one by one
 
 
 def roundtrip(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> RoundTripReport:

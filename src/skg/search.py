@@ -36,13 +36,12 @@ subgoal is done once per answer, not once per derivation beneath it;
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from itertools import product
 from types import GeneratorType
 from typing import Optional
 
-from .avm import (ABSENT, Atom, Avm, BudgetExhausted, Env, ListVal, Value, Var,
-                  get, normalize, parts, render)
+from .avm import (ABSENT, Atom, Avm, BudgetExhausted, Env, Frozen, ListVal, Record,
+                  Value, Var, get, normalize, parts, render)
 from .grammar import LOCAL, LexEntry
 from .kernel import nonsk_sites
 
@@ -68,23 +67,29 @@ def default_budget() -> int:
     return budget
 
 
-@dataclass(frozen=True)
-class Leaf:
-    entry: LexEntry
+class Leaf(Frozen):
+    __slots__ = ("entry",)
+
+    def __init__(self, entry: LexEntry):
+        self._init(entry)
 
 
-@dataclass(frozen=True)
-class Node:
-    rule_id: str
-    children: tuple  # tuple[Derivation, ...] in daughter order
+class Node(Frozen):
+    __slots__ = ("rule_id", "children")
+
+    def __init__(self, rule_id: str, children: tuple):
+        self._init(rule_id, children)  # children: derivations in daughter order
 
 
-@dataclass(frozen=True, eq=False)
-class Packed:
+class Packed(Frozen):
     """Derivations of one tabled goal that end at one position with one
     description, in the order they were found; only inside a search,
-    never in an output."""
-    alternatives: tuple  # tuple[Derivation, ...], two or more
+    never in an output.  Packed nodes compare by identity."""
+    __slots__ = ("alternatives",)
+    __eq__, __hash__ = object.__eq__, object.__hash__
+
+    def __init__(self, alternatives: tuple):
+        self._init(alternatives)  # tuple[Derivation, ...], two or more
 
 
 Derivation = object  # Leaf | Node, and Packed inside a search
@@ -129,25 +134,29 @@ class GenerationError(ValueError):
     """Invalid generation goal (for example, no category)."""
 
 
-@dataclass
-class GenConfig:
-    step_budget: int = field(default_factory=default_budget)
-    max_results: Optional[int] = None
-    trace: bool = False
+class GenConfig(Record):
+    _fields = ("step_budget", "max_results", "trace")
 
-    def __post_init__(self):
+    def __init__(self, step_budget: Optional[int] = None,
+                 max_results: Optional[int] = None, trace: bool = False):
+        self.step_budget = default_budget() if step_budget is None else step_budget
+        self.max_results = max_results
+        self.trace = trace
         if self.step_budget < 1:
             raise ValueError(f"step_budget must be positive, got {self.step_budget}")
         if self.max_results is not None and self.max_results < 1:
             raise ValueError("max_results must be positive")
 
 
-@dataclass
-class GenResult:
-    outputs: list  # list[(surface tuple, Derivation, root description)]
-    steps_used: int
-    exhausted_budget: bool
-    trace_log: list = field(default_factory=list)
+class GenResult(Record):
+    _fields = ("outputs", "steps_used", "exhausted_budget", "trace_log")
+
+    def __init__(self, outputs: list, steps_used: int, exhausted_budget: bool,
+                 trace_log: list = None):
+        self.outputs = outputs  # list[(surface tuple, Derivation, root description)]
+        self.steps_used = steps_used
+        self.exhausted_budget = exhausted_budget
+        self.trace_log = [] if trace_log is None else trace_log
 
     @property
     def surfaces(self):
@@ -163,12 +172,16 @@ def goal_category(goal: Value, env: Env) -> str:
 
 
 def check_goal(goal: Value, grammar) -> None:
-    """Raise ``GenerationError`` for a goal without a ``cat`` atom, without a
-    ``sem`` or with a bare variable for it, for a record with a rest anywhere in
-    it (only rules may share a record that way), or for a value other than a
-    closed list at a non-kernel path of any record in its ``sem``."""
-    if not isinstance(get(goal, ("cat",)), Atom):
+    """Raise ``GenerationError`` for a goal without a ``cat`` atom or with a
+    category no rule or entry mentions, without a ``sem`` or with a bare
+    variable for it, for a record with a rest anywhere in it (only rules may
+    share a record that way), or for a value other than a closed list at a
+    non-kernel path of any record in its ``sem``."""
+    cat = get(goal, ("cat",))
+    if not isinstance(cat, Atom):
         raise GenerationError("generation goal has no category atom")
+    if (cat.name, cat.name) not in grammar.link:
+        raise GenerationError(f"unknown goal category {cat.name!r}")
     sem = get(goal, ("sem",))
     if sem is ABSENT:
         raise GenerationError("goal has no sem feature")

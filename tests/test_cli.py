@@ -275,6 +275,13 @@ def test_json_output_is_deterministic(capsys):
     (["generate", "--grammar", GRAMMAR, "--sem", "GOAL", "--budget", "1000"], "X"),
     # a second start category
     (["check", "--grammar", "GOAL"], "start s.\nstart np.\n"),
+    # a category the grammar never mentions: a parse root, a bare sem's root, a goal's
+    (["parse", "the sentence", "--grammar", GRAMMAR, "--root", "zzz"], None),
+    (["generate", "--grammar", GRAMMAR, "--sem", "GOAL", "--root", "zzz"],
+     "[rel: sentence, def: +, mod: <>]"),
+    *[([*command, "--grammar", GRAMMAR, "--sem", "GOAL"], "[cat: zzz, sem: [rel: sentence]]")
+      for command in (["generate", "--algo", "shdg"], ["roundtrip"], ["compare"],
+                      ["analyze"])],
 ])
 def test_malformed_input_exits_3_with_one_error_line(capsys, tmp_path, argv, goal):
     if goal is not None:

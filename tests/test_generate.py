@@ -229,6 +229,8 @@ def test_generation_error_on_missing_cat(grammar):
      "non-kernel path mod.arg.mod holds a non-list value"),
     # a goal that leaves its whole sem open
     ("[cat: np, sem: X]", "goal sem is a bare variable"),
+    # a category no rule or entry mentions
+    ("[cat: zzz, sem: [rel: sentence, def: +, mod: <>]]", "unknown goal category 'zzz'"),
 ])
 def test_every_generator_rejects_a_malformed_goal(grammar, goal, message):
     goal = P(goal)

@@ -1,15 +1,19 @@
 """Left-corner parser and round-trip checking tests."""
 
 import gc
+import itertools
 
 import pytest
 
 import skg.parser
 from skg import (
+    Atom,
+    Avm,
     GenConfig,
     ParseError,
     check_output,
     equal_modulo_renaming,
+    generate,
     get,
     left_corner_table,
     normalize,
@@ -19,7 +23,7 @@ from skg import (
     tokenize_sentence,
 )
 from skg.kernel import normalize_nonsk
-from skg.search import Search
+from skg.search import DEFAULT_BUDGET, Search
 
 
 def P(text):
@@ -73,6 +77,13 @@ def test_parse_rejects_unknown_token(grammar):
         parse(grammar, "the blue sentence")
     with pytest.raises(ParseError, match="empty"):
         parse(grammar, "")
+
+
+def test_parse_rejects_a_root_category_the_grammar_never_mentions(grammar):
+    with pytest.raises(ParseError, match="unknown root category 'zzz'"):
+        parse(grammar, "the sentence", root_cat="zzz")
+    assert check_output(grammar, ("the", "sentence"), "zzz",
+                        P("[rel: sentence, def: +, mod: <>]")) == ["no-parse"]
 
 
 def test_parse_no_analysis(grammar):
@@ -195,3 +206,27 @@ def test_an_early_stop_closes_the_search(grammar, monkeypatch):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_every_parse_regenerates(grammar):
+    """Reversibility the other way round (Shieber 1988): every analysis of
+    every string of up to 5 words, as an ``s`` or an ``np``, generates its
+    string back within the default budget."""
+    cfg = GenConfig(DEFAULT_BUDGET)
+    surfaces = sorted({e.surface for e in grammar.lexicon})
+    pairs = parses = analyses = regenerated = 0
+    for length in range(1, 6):
+        for tokens in itertools.product(surfaces, repeat=length):
+            for root in ("s", "np"):
+                pairs += 1
+                result = parse(grammar, tokens, cfg, root_cat=root)
+                assert not result.exhausted_budget
+                parses += bool(result.analyses)
+                for sem, _ in result.analyses:
+                    analyses += 1
+                    goal = Avm((("cat", Atom(root)), ("sem", normalize_nonsk(sem, grammar))))
+                    back = generate(grammar, goal, cfg)
+                    assert not back.exhausted_budget
+                    assert " ".join(tokens) in back.surfaces, (tokens, root)
+                    regenerated += 1
+    assert (pairs, parses, analyses, regenerated) == (74896, 84, 84, 84)

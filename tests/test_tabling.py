@@ -10,7 +10,6 @@ they are held to a search that tries every plan of the goal on every
 pivot.
 """
 
-import dataclasses
 import random
 
 import pytest
@@ -20,6 +19,7 @@ from skg import (
     SUBSTRUCTURE_LINK,
     UNIFY_LINK,
     GenConfig,
+    Grammar,
     format_derivation,
     generate,
     generate_shdg,
@@ -67,7 +67,7 @@ def unindexed(grammar):
         return {(g, p): [LOCAL] + [plan for plan in plans[g] if keep(plan[0])]
                 for g, p in link}
 
-    copy = dataclasses.replace(grammar)
+    copy = Grammar(grammar.rules, grammar.lexicon, grammar.nonsk_paths, grammar.start)
     copy.tables = grammar.tables._replace(
         sk=rows(grammar.link, lambda r: r.head_index, lambda r: r.sk_class == SK),
         left=rows(grammar.left_corner, lambda r: 0, lambda r: True))
