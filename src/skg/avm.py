@@ -46,7 +46,7 @@ Value = Union["Atom", "Var", "Avm", "ListVal"]
 ABSENT = object()
 
 
-class Record:
+class Fields:
     """Field-wise ``==`` and ``repr`` over the attributes named in ``_fields``."""
 
     __slots__ = ()
@@ -64,8 +64,8 @@ class Record:
         return f"{type(self).__qualname__}({fields})"
 
 
-class Frozen(Record):
-    """A hashable :class:`Record` whose fields are its ``__slots__``, set once
+class Frozen(Fields):
+    """Hashable :class:`Fields` whose fields are its ``__slots__``, set once
     in ``__init__`` through the slot descriptors (``_setters``); assigning or
     deleting an attribute raises ``AttributeError``, and ``copy``, ``deepcopy``
     and ``pickle`` rebuild an instance through ``__init__``."""

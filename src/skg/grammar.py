@@ -27,10 +27,10 @@ from .avm import (
     Atom,
     Avm,
     AvmSyntaxError,
+    Fields,
     Frozen,
     ListVal,
     TokenStream,
-    Record,
     Value,
     Var,
     _Parser,
@@ -106,7 +106,7 @@ class Tables(NamedTuple):
     lexicon: dict  # goal category -> the entries it head-links to, in lexicon order
 
 
-class Grammar(Record):
+class Grammar(Fields):
     _fields = ("rules", "lexicon", "nonsk_paths", "start", "link")
 
     def __init__(self, rules: list, lexicon: list, nonsk_paths: list, start: str):

@@ -10,7 +10,7 @@ with cyclic unary projections.
 
 from __future__ import annotations
 
-from .avm import ABSENT, Atom, Avm, Record, Value, _match, get, normalize
+from .avm import ABSENT, Atom, Avm, Fields, Value, _match, get, normalize
 from .generator import generate
 from .grammar import Grammar
 from .kernel import normalize_nonsk
@@ -21,7 +21,7 @@ class ParseError(ValueError):
     """Unparseable request (unknown token or root category, empty input)."""
 
 
-class ParseResult(Record):
+class ParseResult(Fields):
     _fields = ("analyses", "steps_used", "exhausted_budget")
 
     def __init__(self, analyses: list, steps_used: int, exhausted_budget: bool):
@@ -133,7 +133,7 @@ def _check(grammar, tokens, root_cat, input_sem, cfg):
     return best, result.steps_used
 
 
-class RoundTripReport(Record):
+class RoundTripReport(Fields):
     _fields = ("ok", "reason", "entries", "generation", "check_steps")
 
     def __init__(self, ok: bool, reason: str, entries: list = None,

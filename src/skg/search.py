@@ -40,7 +40,7 @@ from itertools import product
 from types import GeneratorType
 from typing import Optional
 
-from .avm import (ABSENT, Atom, Avm, BudgetExhausted, Env, Frozen, ListVal, Record,
+from .avm import (ABSENT, Atom, Avm, BudgetExhausted, Env, Fields, Frozen, ListVal,
                   Value, Var, get, normalize, parts, render)
 from .grammar import LOCAL, LexEntry
 from .kernel import nonsk_sites
@@ -134,7 +134,7 @@ class GenerationError(ValueError):
     """Invalid generation goal (for example, no category)."""
 
 
-class GenConfig(Record):
+class GenConfig(Fields):
     _fields = ("step_budget", "max_results", "trace")
 
     def __init__(self, step_budget: Optional[int] = None,
@@ -148,7 +148,7 @@ class GenConfig(Record):
             raise ValueError("max_results must be positive")
 
 
-class GenResult(Record):
+class GenResult(Fields):
     _fields = ("outputs", "steps_used", "exhausted_budget", "trace_log")
 
     def __init__(self, outputs: list, steps_used: int, exhausted_budget: bool,
