@@ -186,18 +186,19 @@ class ListVal(Frozen):
 def _copy(v: Value, mapping: dict, fresh) -> Value:
     """``Env.instantiate``'s copy; not a closure, since a recursive closure is a
     reference cycle that keeps its ``Env`` alive until the cycle collector runs."""
-    if isinstance(v, Atom):
+    kind = type(v)
+    if kind is Atom:
         return v
-    if isinstance(v, Var):
+    if kind is Var:
         if v.tag not in mapping:
             mapping[v.tag] = fresh()
         return mapping[v.tag]
-    if isinstance(v, Avm):
-        pairs = tuple((f, _copy(x, mapping, fresh)) for f, x in v.pairs)
+    if kind is Avm:
+        pairs = tuple([(f, _copy(x, mapping, fresh)) for f, x in v.pairs])
         return Avm(pairs, v.rest and _copy(v.rest, mapping, fresh))
-    if isinstance(v, ListVal):
+    if kind is ListVal:
         tail = _copy(v.tail, mapping, fresh) if v.tail is not None else None
-        return ListVal(tuple(_copy(x, mapping, fresh) for x in v.items), tail)
+        return ListVal(tuple([_copy(x, mapping, fresh) for x in v.items]), tail)
     raise TypeError(v)
 
 
@@ -233,6 +234,11 @@ class Env:
     unification node visited, plus the steps a search takes itself
     (:meth:`tick`).  Once the count passes ``budget``, :meth:`tick`
     raises :class:`BudgetExhausted`.
+
+    :meth:`canonical` is ``normalize(resolve(value))`` in one walk, the
+    form of every table key, answer description, output root and parse
+    analysis.  The walkers dispatch on a value's exact type, never on
+    ``isinstance``: the value classes are never subclassed.
     """
 
     def __init__(self, budget=math.inf):
@@ -264,31 +270,34 @@ class Env:
                 self.ends[tag] = end
 
     def bind(self, tag: str, value: Value) -> None:
-        self.trail.append((tag, self.bindings.get(tag, ABSENT), self.ends.pop(tag, ABSENT)))
+        ends = self.ends
+        self.trail.append((tag, self.bindings.get(tag, ABSENT), ends.pop(tag, ABSENT)))
         self.bindings[tag] = value
-        end = self._end(value)
-        if end is not ABSENT:
-            self.ends[tag] = end
+        kind = type(value)
+        if kind is Atom:
+            ends[tag] = None
+        elif kind is ListVal:
+            end = self._end(value)
+            if end is not ABSENT:
+                ends[tag] = end
 
-    def _end(self, value: Value):
-        """The end of a variable bound to ``value`` (see ``ends``), or ABSENT."""
-        if isinstance(value, Atom):
-            return None
-        if not isinstance(value, ListVal):
-            return ABSENT
+    def _end(self, value: ListVal):
+        """The end of a variable bound to the list ``value`` (see ``ends``), or ABSENT."""
+        ends = self.ends
         for item in value.items:
-            if not (isinstance(item, Atom) or isinstance(item, Var)
-                    and self.ends.get(item.tag, ABSENT) is None):
+            kind = type(item)
+            if not (kind is Atom or kind is Var and ends.get(item.tag, ABSENT) is None):
                 return ABSENT
         tail = value.tail
-        return None if tail is None else self.ends.get(tail.tag, tail)
+        return None if tail is None else ends.get(tail.tag, tail)
 
     def fresh_var(self) -> Var:
         return Var(f"_G{next(self._fresh)}")
 
     def walk(self, v: Value) -> Value:
-        while isinstance(v, Var) and v.tag in self.bindings:
-            v = self.bindings[v.tag]
+        bindings = self.bindings
+        while type(v) is Var and v.tag in bindings:
+            v = bindings[v.tag]
         return v
 
     # -- renaming-apart -----------------------------------------------------
@@ -313,20 +322,21 @@ class Env:
         stack = [value]
         while stack:
             v = stack.pop()
-            while isinstance(v, Var):
+            while type(v) is Var:
                 if v.tag not in bindings:
                     if v.tag == tag:
                         return True
                     break
                 end = ends.get(v.tag, ABSENT)
                 v = bindings[v.tag] if end is ABSENT else end
-            if isinstance(v, Avm):
+            kind = type(v)
+            if kind is Avm:
                 if v.rest is not None:
                     v = self._fold(v)
-                stack.extend(x for _, x in v.pairs)
+                stack.extend([x for _, x in v.pairs])
                 if v.rest is not None:
                     stack.append(v.rest)
-            elif isinstance(v, ListVal):
+            elif kind is ListVal:
                 stack.extend(v.items)
                 if v.tail is not None:
                     stack.append(v.tail)
@@ -352,8 +362,9 @@ class Env:
         while pos == len(segment.items):
             tail = segment.tail
             walked = tail and self.walk(tail)
-            if not isinstance(walked, ListVal):
-                return segment, pos, tail if isinstance(walked, (Atom, Avm)) else walked
+            kind = type(walked)
+            if kind is not ListVal:
+                return segment, pos, tail if kind is Atom or kind is Avm else walked
             segment, pos = walked, 0
         return segment, pos, ABSENT
 
@@ -366,7 +377,9 @@ class Env:
         mark it took beforehand.  The returned value preserves variable
         links so reentrant positions keep co-evolving.
         """
-        self.tick()
+        steps = self.steps = self.steps + 1  # as tick() counts and checks it
+        if steps > self.budget:
+            raise BudgetExhausted()
         bindings, a_arg, b_arg = self.bindings, a, b
         a_last = b_last = None  # the last bound variable walked on each side
         while type(a) is Var and a.tag in bindings:
@@ -410,11 +423,11 @@ class Env:
         pairs, rest = record.pairs, record.rest
         while rest is not None:
             row = self.walk(rest)
-            if not isinstance(row, Avm):
-                rest = row if isinstance(row, Var) else rest
+            if type(row) is not Avm:
+                rest = row if type(row) is Var else rest
                 break
             listed = dict(pairs)
-            pairs = tuple((f, listed.pop(f, v)) for f, v in row.pairs) + tuple(listed.items())
+            pairs = tuple([(f, listed.pop(f, v)) for f, v in row.pairs]) + tuple(listed.items())
             rest = row.rest
         return Avm(pairs, rest)
 
@@ -433,10 +446,11 @@ class Env:
         if a.rest is None and b.rest is not None:
             a, b = b, a
         if a.rest is not None:
-            if any(r is not None and r.tag in self.bindings for r in (a.rest, b.rest)):
+            bindings = self.bindings
+            if a.rest.tag in bindings or b.rest is not None and b.rest.tag in bindings:
                 return None  # a rest bound to a non-record
-            only_a = tuple(p for p in a.pairs if b.get(p[0]) is ABSENT)
-            only_b = tuple(p for p in b.pairs if a.get(p[0]) is ABSENT)
+            only_a = tuple([p for p in a.pairs if b.get(p[0]) is ABSENT])
+            only_b = tuple([p for p in b.pairs if a.get(p[0]) is ABSENT])
             if b.rest is not None and a.rest.tag == b.rest.tag:
                 if only_a or only_b:
                     return None
@@ -483,8 +497,8 @@ class Env:
         end = b_end
         if end is None:  # a closed end takes only an empty rest
             end, rest = rest, None
-        if isinstance(end, ListVal) or any(
-                isinstance(e, Var) and e.tag in self.bindings for e in (end, rest)):
+        if type(end) is ListVal or any(
+                type(e) is Var and e.tag in self.bindings for e in (end, rest)):
             return None  # items left for a closed end, or an ill-typed tail
         if end is not None and end != rest \
                 and not self._bind_acyclic(end, ListVal(()) if rest is None else rest):
@@ -496,21 +510,55 @@ class Env:
     def resolve(self, value: Value) -> Value:
         """Substitute all bindings, yielding a standalone value; never unifies,
         binds or ticks."""
-        value = self.walk(value)
-        if isinstance(value, (Atom, Var)):
+        bindings = self.bindings
+        while type(value) is Var:
+            if value.tag not in bindings:
+                return value
+            value = bindings[value.tag]
+        kind = type(value)
+        if kind is Atom:
             return value
-        if isinstance(value, Avm):
+        if kind is Avm:
             if value.rest is not None:
                 value = self._fold(value)
-            return Avm(tuple((f, self.resolve(v)) for f, v in value.pairs), value.rest)
-        if isinstance(value, ListVal):
+            return Avm(tuple([(f, self.resolve(v)) for f, v in value.pairs]), value.rest)
+        if kind is ListVal:
             items = []
             segment, _, end = self._onward(value, 0)
             while end is ABSENT:
-                items.extend(map(self.resolve, segment.items))
+                items.extend([self.resolve(v) for v in segment.items])
                 segment, _, end = self._onward(segment, len(segment.items))
             return ListVal(tuple(items), end)
         raise TypeError(value)
+
+    def canonical(self, value: Value) -> Value:
+        """``normalize(self.resolve(value))`` in one walk; ABSENT passes through."""
+        return self._canonical(value, {})
+
+    def _canonical(self, v: Value, seen: dict) -> Value:
+        """``canonical``'s walk, in ``_normalize``'s order; ``seen`` is the renaming."""
+        bindings = self.bindings
+        while type(v) is Var:
+            if v.tag not in bindings:
+                return _renamed(v, seen)
+            v = bindings[v.tag]
+        kind = type(v)
+        if kind is Avm:
+            if v.rest is not None:
+                v = self._fold(v)
+            pairs = tuple([(f, self._canonical(x, seen))
+                           for f, x in sorted(v.pairs, key=itemgetter(0))])
+            return Avm(pairs, v.rest and _renamed(v.rest, seen))
+        if kind is ListVal:
+            segments = []
+            segment, _, end = self._onward(v, 0)
+            while end is ABSENT:
+                segments.append(segment.items)
+                segment, _, end = self._onward(segment, len(segment.items))
+            end = end and _renamed(end, seen)  # the end before the items
+            return ListVal(tuple([self._canonical(x, seen)
+                                  for items in segments for x in items]), end)
+        return v
 
 
 # ---------------------------------------------------------------------------
@@ -525,17 +573,25 @@ def normalize(value: Value) -> Value:
 
 def _normalize(v: Value, seen: dict) -> Value:
     """``normalize``'s walk (not a closure; see ``_copy``); ``seen`` is the renaming."""
-    if isinstance(v, Var):
-        if v.tag not in seen:
-            seen[v.tag] = Var(f"#{len(seen)}")
-        return seen[v.tag]
-    if isinstance(v, Avm):
-        pairs = tuple((f, _normalize(x, seen)) for f, x in sorted(v.pairs, key=itemgetter(0)))
+    kind = type(v)
+    if kind is Var:
+        return _renamed(v, seen)
+    if kind is Avm:
+        pairs = tuple([(f, _normalize(x, seen))
+                       for f, x in sorted(v.pairs, key=itemgetter(0))])
         return Avm(pairs, v.rest and _normalize(v.rest, seen))
-    if isinstance(v, ListVal):
+    if kind is ListVal:
         tail = _normalize(v.tail, seen) if v.tail is not None else None
-        return ListVal(tuple(_normalize(x, seen) for x in v.items), tail)
+        return ListVal(tuple([_normalize(x, seen) for x in v.items]), tail)
     return v
+
+
+def _renamed(var: Var, seen: dict) -> Var:
+    """``var`` renamed by ``seen``, which gives a new variable the next ``#<n>``."""
+    tag = var.tag
+    if tag not in seen:
+        seen[tag] = Var(f"#{len(seen)}")
+    return seen[tag]
 
 
 def unify(a: Value, b: Value) -> Optional[Value]:
@@ -546,7 +602,7 @@ def unify(a: Value, b: Value) -> Optional[Value]:
     result = env.unify(a, b)
     if result is None:
         return None
-    return normalize(env.resolve(result))
+    return env.canonical(result)
 
 
 def subsumes(a: Value, b: Value) -> bool:

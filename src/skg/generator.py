@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from itertools import islice
 
-from .avm import ABSENT, Avm, Env, Value, get, normalize, variables
+from .avm import ABSENT, Avm, Env, Value, get, variables
 from .grammar import Grammar
 from .kernel import decompose, is_sk, nonsk_weight, sk_of
 from .search import (
@@ -132,6 +132,6 @@ def nonsk_expansions(grammar: Grammar, goal: Value):
     sem = _sem(env, goal)
     if sem is ABSENT or is_sk(sem, grammar):
         raise GenerationError("goal has kernel-only semantics")
-    return [(rule, [normalize(env.resolve(d)) for d in daughters])
+    return [(rule, [env.canonical(d) for d in daughters])
             for (rule, _, _), _, daughters in _expansions(
                 env, grammar, goal_cat, get(goal, ("sem",)), sem)]

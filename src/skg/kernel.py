@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from contextlib import suppress
 
-from .avm import ABSENT, Avm, Frozen, ListVal, Value, get, normalize, parts, put, subsumes
+from .avm import (ABSENT, Avm, Frozen, ListVal, Value, _match, get, normalize, parts, put,
+                  subsumes)
 from .grammar import Grammar
 
 
@@ -91,7 +92,7 @@ def sk_of(sem, candidate: Value, grammar: Grammar) -> bool:
     """
     if not isinstance(sem, Decomposition):
         sem = decompose(sem, grammar)
-    return subsumes(candidate, sem.kernel)
+    return _match(normalize(candidate), sem.kernel, {})  # the kernel is in normal form
 
 
 def normalize_nonsk(value: Value, grammar: Grammar) -> Value:

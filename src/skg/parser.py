@@ -10,7 +10,7 @@ with cyclic unary projections.
 
 from __future__ import annotations
 
-from .avm import ABSENT, Atom, Avm, Fields, Value, _match, get, normalize
+from .avm import ABSENT, Atom, Avm, Fields, Value, _match, get
 from .generator import generate
 from .grammar import Grammar
 from .kernel import normalize_nonsk
@@ -75,7 +75,9 @@ def parse(grammar: Grammar, tokens, cfg: GenConfig = None,
     solutions = search.run(goal, 0)
     for deriv, end, merged in solutions:
         if end == len(tokens):
-            analyses.append((normalize(get(env.resolve(merged), ("sem",))), deriv))
+            record = env.walk(merged)  # its sem is read through its folded rest
+            sem = env._fold(record).get("sem") if type(record) is Avm else ABSENT
+            analyses.append((env.canonical(sem), deriv))
             if until is not None and until(analyses[-1][0]):
                 solutions.close()  # drive's finally closes the sub-searches
     return ParseResult(analyses, search.env.steps, search.exhausted)
@@ -96,14 +98,15 @@ def check_output(grammar: Grammar, tokens, root_cat: str,
     budget without one gives ``["budget-exhausted"]``.  The analyses are
     read one at a time, and the parse stops at the first clean one.
     """
-    return _check(grammar, tokens, root_cat, input_sem, cfg or GenConfig())[0]
-
-
-def _check(grammar, tokens, root_cat, input_sem, cfg):
-    """:func:`check_output`'s failures, and the steps its parse took."""
-    if input_sem is ABSENT:
-        return [], 0
     want = normalize_nonsk(input_sem, grammar)
+    return _check(grammar, tokens, root_cat, want, cfg or GenConfig())[0]
+
+
+def _check(grammar, tokens, root_cat, want, cfg):
+    """:func:`check_output`'s failures, and the steps its parse took; ``want``
+    is the input sem's minimal reading (:func:`normalize_nonsk`)."""
+    if want is ABSENT:
+        return [], 0
     found = []  # the failures of each analysis with a sem, in the order found
 
     def clean(sem):
@@ -154,10 +157,10 @@ def roundtrip(grammar: Grammar, goal: Value, cfg: GenConfig = None) -> RoundTrip
     if not result.outputs:
         return RoundTripReport(False, "no-output", [], result)
     root_cat = get(goal, ("cat",)).name  # generate has checked it is an atom
-    input_sem = get(goal, ("sem",))
+    want = normalize_nonsk(get(goal, ("sem",)), grammar)  # once for every output
     entries, reason, check_steps = [], "pass", 0
     for tokens in dict.fromkeys(tokens for tokens, _, _ in result.outputs):
-        failures, steps = _check(grammar, tokens, root_cat, input_sem, cfg)
+        failures, steps = _check(grammar, tokens, root_cat, want, cfg)
         check_steps += steps
         if failures == ["budget-exhausted"]:  # as for generation: no verdict
             reason = "budget-exhausted"

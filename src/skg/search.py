@@ -41,7 +41,7 @@ from types import GeneratorType
 from typing import Optional
 
 from .avm import (ABSENT, Atom, Avm, BudgetExhausted, Env, Fields, Frozen, ListVal,
-                  Value, Var, get, normalize, parts, render)
+                  Value, Var, get, parts, render)
 from .grammar import LOCAL, LexEntry
 from .kernel import nonsk_sites
 
@@ -71,14 +71,19 @@ class Leaf(Frozen):
     __slots__ = ("entry",)
 
     def __init__(self, entry: LexEntry):
-        self._init(entry)
+        _leaf_entry(self, entry)
 
 
 class Node(Frozen):
     __slots__ = ("rule_id", "children")
 
     def __init__(self, rule_id: str, children: tuple):
-        self._init(rule_id, children)  # children: derivations in daughter order
+        _node_rule_id(self, rule_id)
+        _node_children(self, children)  # derivations in daughter order
+
+
+# a derivation node is built per unpacked output, so it skips Frozen._init's loop
+(_leaf_entry,), (_node_rule_id, _node_children) = Leaf._setters, Node._setters
 
 
 class Packed(Frozen):
@@ -258,7 +263,7 @@ class Search:
         if self.tracing:
             self.log.append(" ".join(
                 p if isinstance(p, str)
-                else render(normalize(self.env.resolve(p))) for p in parts))
+                else render(self.env.canonical(p)) for p in parts))
 
     def run(self, goal: Value, pos=None):
         """The solutions of ``goal``, until the search or its budget ends."""
@@ -339,8 +344,9 @@ class Search:
     def tabled(self, goal: Value, pos=None):
         """A search for a daughter goal, answered from the table.
 
-        The key is the goal's variant (its normalized resolved value) and
-        the position.  The first search for a key solves the resolved goal
+        The key is the goal's variant (its canonical value, see
+        :meth:`Env.canonical`) and the position; the goal is resolved only
+        to fill a new key.  The first search for a key solves the resolved goal
         to exhaustion and stores one ``(derivation, end, description)``
         answer per end and description (the normalized merged goal, None
         if it is the key's) in the order first found, the derivation a
@@ -349,25 +355,23 @@ class Search:
         it is, any other instantiated and unified with the caller's goal.
         A key that comes back while it is being filled gets plain search.
         """
-        resolved = self.env.resolve(goal)
-        key = (normalize(resolved), pos)
+        key = (self.env.canonical(goal), pos)
         answers = self.table.get(key)
         if answers is PLAIN:
             return self.solve(goal, pos)
         if answers is not None:
-            self.note("table", resolved)
-        return self._replay(key, goal, resolved, answers)
+            self.note("table", goal)
+        return self._replay(key, goal, answers)
 
-    def _replay(self, key, goal, resolved, answers):
+    def _replay(self, key, goal, answers):
         """Fill the key's entry if ``answers`` is None, then replay it."""
         env = self.env
         if answers is None:
             self.table[key] = PLAIN  # until it is filled
             groups = {}  # (end, description) -> its derivations, in the order found
-            sub = self.solve(resolved, key[1])
+            sub = self.solve(env.resolve(goal), key[1])
             while (found := (yield sub)) is not DONE:
-                groups.setdefault((found[1], normalize(env.resolve(found[2]))),
-                                  []).append(found[0])
+                groups.setdefault((found[1], env.canonical(found[2])), []).append(found[0])
             answers = self.table[key] = [
                 (derivs[0] if len(derivs) == 1 else Packed(tuple(derivs)), end,
                  None if answer == key[0] else answer)
@@ -417,7 +421,7 @@ def distinct_outputs(search: Search, goal: Value):
     memo = {}
     heads = None
     for deriv, _, _ in search.run(goal):
-        root = normalize(search.env.resolve(goal))
+        root = search.env.canonical(goal)
         tokens = yield_tokens(deriv)
         if tokens is not None:
             yield tokens, deriv, root

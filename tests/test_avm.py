@@ -325,6 +325,34 @@ def test_resolve_and_occurs_match_the_references(case, steps, list_steps):
         _check_occurs(env, tags, values)
 
 
+@settings(max_examples=200, deadline=None)
+@given(bound_values())
+def test_canonical_is_normalize_of_the_reference_resolve(case):
+    env, value = case
+    expected = normalize(reference_resolve(env, value))
+    got = env.canonical(value)
+    assert got == expected
+    assert hash(got) == hash(expected) and repr(got) == repr(expected)
+
+
+def test_canonical_of_a_bound_rest_a_list_chain_and_absent():
+    env = Env()
+    # a bound rest is folded in: the feature the record lists wins
+    env.bind("R", Avm((("b", Var("X")), ("a", Atom("c")))))
+    record = Avm((("z", Var("Y")), ("a", Atom("q"))), Var("R"))
+    # a list chained through two bound tails; its end is renamed first
+    env.bind("U", ListVal((Atom("c"),), Var("W")))
+    env.bind("T", ListVal((Var("X"), Atom("b")), Var("U")))
+    chain = ListVal((Var("Y"),), Var("T"))
+    for value, expected in ((record, "Avm[a: Atom('q'), b: Var('#0'), z: Var('#1')]"),
+                            (chain, "ListVal<Var('#1'), Var('#2'), Atom('b'), Atom('c')"
+                                    " | Var('#0')>")):
+        got = env.canonical(value)
+        assert repr(got) == expected
+        assert got == normalize(reference_resolve(env, value))
+    assert env.canonical(ABSENT) is ABSENT
+
+
 def test_occurs_memo_follows_rebinding_and_undo():
     env = Env()
     # a list whose open end a rebinding closes, then undone

@@ -189,6 +189,40 @@ def test_copies_of_generate_and_parse_are_pinned(grammar, sentence_goal, monkeyp
     assert len(copied) == 224
 
 
+def _count_top_level(monkeypatch, name):
+    """Record the value of every ``Env.<name>`` call made outside another one."""
+    called, depth = [], [0]
+    original = getattr(Env, name)
+
+    def counting(self, value):
+        if not depth[0]:
+            called.append(value)
+        depth[0] += 1
+        try:
+            return original(self, value)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(Env, name, counting)
+    return called
+
+
+def test_resolves_of_generate_are_pinned(grammar, sentence_goal, monkeypatch):
+    # A table key, a fill description and an output root are each one
+    # canonical walk, and a table hit resolves nothing.  Resolving every
+    # goal before its lookup and resolving before each normalization made
+    # 57 and 192 resolves here, and no canonical walks.
+    resolved = _count_top_level(monkeypatch, "resolve")
+    canonical = _count_top_level(monkeypatch, "canonical")
+    counts = []
+    for goal in (sentence_goal, ladder_goal(6)):
+        generate(grammar, goal)
+        counts.append((len(resolved), len(canonical)))
+        resolved.clear()
+        canonical.clear()
+    assert counts == [(31, 38), (71, 143)]
+
+
 # every rule's corner daughter clashes with the one entry on ``form``
 NO_CORNER = """
 start s.
