@@ -194,11 +194,16 @@ def _copy(v: Value, mapping: dict, fresh) -> Value:
             mapping[v.tag] = fresh()
         return mapping[v.tag]
     if kind is Avm:
-        pairs = tuple([(f, _copy(x, mapping, fresh)) for f, x in v.pairs])
-        return Avm(pairs, v.rest and _copy(v.rest, mapping, fresh))
+        pairs = []
+        for f, x in v.pairs:
+            pairs.append((f, _copy(x, mapping, fresh)))
+        return Avm(tuple(pairs), v.rest and _copy(v.rest, mapping, fresh))
     if kind is ListVal:
         tail = _copy(v.tail, mapping, fresh) if v.tail is not None else None
-        return ListVal(tuple([_copy(x, mapping, fresh) for x in v.items]), tail)
+        items = []
+        for x in v.items:
+            items.append(_copy(x, mapping, fresh))
+        return ListVal(tuple(items), tail)
     raise TypeError(v)
 
 
@@ -238,7 +243,9 @@ class Env:
     :meth:`canonical` is ``normalize(resolve(value))`` in one walk, the
     form of every table key, answer description, output root and parse
     analysis.  The walkers dispatch on a value's exact type, never on
-    ``isinstance``: the value classes are never subclassed.
+    ``isinstance``: the value classes are never subclassed.  They build
+    their values with plain loops, never comprehensions: on CPython 3.10
+    and 3.11 a comprehension is a nested function, a call per node.
     """
 
     def __init__(self, budget=math.inf):
@@ -333,7 +340,8 @@ class Env:
             if kind is Avm:
                 if v.rest is not None:
                     v = self._fold(v)
-                stack.extend([x for _, x in v.pairs])
+                for _, x in v.pairs:
+                    stack.append(x)
                 if v.rest is not None:
                     stack.append(v.rest)
             elif kind is ListVal:
@@ -344,7 +352,7 @@ class Env:
 
     def _bind_acyclic(self, var: Var, value: Value) -> bool:
         """Bind the unbound ``var`` to ``value`` unless ``var`` occurs in it."""
-        if self.occurs(var.tag, value):
+        if type(value) is not Atom and self.occurs(var.tag, value):
             return False
         self.bind(var.tag, value)
         return True
@@ -427,7 +435,10 @@ class Env:
                 rest = row if type(row) is Var else rest
                 break
             listed = dict(pairs)
-            pairs = tuple([(f, listed.pop(f, v)) for f, v in row.pairs]) + tuple(listed.items())
+            folded = []
+            for f, v in row.pairs:
+                folded.append((f, listed.pop(f, v)))
+            pairs = tuple(folded) + tuple(listed.items())
             rest = row.rest
         return Avm(pairs, rest)
 
@@ -449,8 +460,11 @@ class Env:
             bindings = self.bindings
             if a.rest.tag in bindings or b.rest is not None and b.rest.tag in bindings:
                 return None  # a rest bound to a non-record
-            only_a = tuple([p for p in a.pairs if b.get(p[0]) is ABSENT])
-            only_b = tuple([p for p in b.pairs if a.get(p[0]) is ABSENT])
+            only_a, only_b = [], []
+            for side, other, only in ((a, b, only_a), (b, a, only_b)):
+                for p in side.pairs:
+                    if other.get(p[0]) is ABSENT:
+                        only.append(p)
             if b.rest is not None and a.rest.tag == b.rest.tag:
                 if only_a or only_b:
                     return None
@@ -458,10 +472,12 @@ class Env:
                 rest = None if b.rest is None else self.fresh_var()
                 for side, extra in ((a, only_b), (b, only_a)):
                     if side.rest is not None and not self._bind_acyclic(
-                            side.rest, Avm(extra, rest)):
+                            side.rest, Avm(tuple(extra), rest)):
                         return None
         pairs = list(a.pairs)
-        index = {f: i for i, (f, _) in enumerate(pairs)}
+        index = {}
+        for i, (f, _) in enumerate(pairs):
+            index[f] = i
         for f, bv in b.pairs:
             if f in index:
                 u = self.unify(pairs[index[f]][1], bv)
@@ -497,8 +513,9 @@ class Env:
         end = b_end
         if end is None:  # a closed end takes only an empty rest
             end, rest = rest, None
-        if type(end) is ListVal or any(
-                type(e) is Var and e.tag in self.bindings for e in (end, rest)):
+        bindings = self.bindings
+        if type(end) is ListVal or type(end) is Var and end.tag in bindings \
+                or type(rest) is Var and rest.tag in bindings:
             return None  # items left for a closed end, or an ill-typed tail
         if end is not None and end != rest \
                 and not self._bind_acyclic(end, ListVal(()) if rest is None else rest):
@@ -521,12 +538,16 @@ class Env:
         if kind is Avm:
             if value.rest is not None:
                 value = self._fold(value)
-            return Avm(tuple([(f, self.resolve(v)) for f, v in value.pairs]), value.rest)
+            pairs = []
+            for f, v in value.pairs:
+                pairs.append((f, self.resolve(v)))
+            return Avm(tuple(pairs), value.rest)
         if kind is ListVal:
             items = []
             segment, _, end = self._onward(value, 0)
             while end is ABSENT:
-                items.extend([self.resolve(v) for v in segment.items])
+                for v in segment.items:
+                    items.append(self.resolve(v))
                 segment, _, end = self._onward(segment, len(segment.items))
             return ListVal(tuple(items), end)
         raise TypeError(value)
@@ -546,18 +567,20 @@ class Env:
         if kind is Avm:
             if v.rest is not None:
                 v = self._fold(v)
-            pairs = tuple([(f, self._canonical(x, seen))
-                           for f, x in sorted(v.pairs, key=itemgetter(0))])
-            return Avm(pairs, v.rest and _renamed(v.rest, seen))
+            pairs = []
+            for f, x in sorted(v.pairs, key=itemgetter(0)):
+                pairs.append((f, self._canonical(x, seen)))
+            return Avm(tuple(pairs), v.rest and _renamed(v.rest, seen))
         if kind is ListVal:
-            segments = []
+            items = []
             segment, _, end = self._onward(v, 0)
             while end is ABSENT:
-                segments.append(segment.items)
+                items += segment.items
                 segment, _, end = self._onward(segment, len(segment.items))
             end = end and _renamed(end, seen)  # the end before the items
-            return ListVal(tuple([self._canonical(x, seen)
-                                  for items in segments for x in items]), end)
+            for i, x in enumerate(items):
+                items[i] = self._canonical(x, seen)
+            return ListVal(tuple(items), end)
         return v
 
 
@@ -577,12 +600,16 @@ def _normalize(v: Value, seen: dict) -> Value:
     if kind is Var:
         return _renamed(v, seen)
     if kind is Avm:
-        pairs = tuple([(f, _normalize(x, seen))
-                       for f, x in sorted(v.pairs, key=itemgetter(0))])
-        return Avm(pairs, v.rest and _normalize(v.rest, seen))
+        pairs = []
+        for f, x in sorted(v.pairs, key=itemgetter(0)):
+            pairs.append((f, _normalize(x, seen)))
+        return Avm(tuple(pairs), v.rest and _normalize(v.rest, seen))
     if kind is ListVal:
         tail = _normalize(v.tail, seen) if v.tail is not None else None
-        return ListVal(tuple([_normalize(x, seen) for x in v.items]), tail)
+        items = []
+        for x in v.items:
+            items.append(_normalize(x, seen))
+        return ListVal(tuple(items), tail)
     return v
 
 

@@ -50,11 +50,11 @@ def _expansions(env, grammar, goal_cat, sem_raw, sem):
     takes the goal's semantics and whose head daughter has fewer non-kernel
     elements, counted at every depth (the progress check that keeps generation
     terminating); the bindings last until the next expansion is asked for.
-    The plan is the rule's ``(rule, head, sisters)`` entry in ``Tables.nonsk``.
+    The plan is the rule's ``(rule, head, sisters, head cat)`` entry in ``Tables.nonsk``.
     """
     weight = nonsk_weight(sem, grammar)
     for plan in grammar.tables.nonsk.get(goal_cat, ()):
-        rule, head, _ = plan
+        rule, head, _, _ = plan
         env.tick()
         mark = env.mark()
         fresh = {}  # the daughters are copied only if the mother fits
@@ -62,7 +62,9 @@ def _expansions(env, grammar, goal_cat, sem_raw, sem):
         mother_sem = get(mother, ("sem",))
         if mother_sem is not ABSENT and env.unify(mother_sem, sem_raw) is not None:
             env.tick()  # one step for projecting the mother, as in Search.complete
-            daughters = [env.instantiate(d, fresh) for d in rule.daughters]
+            daughters = []
+            for d in rule.daughters:
+                daughters.append(env.instantiate(d, fresh))
             head_sem = _sem(env, daughters[head])
             if nonsk_weight(head_sem, grammar) < weight:
                 yield plan, mother, daughters
@@ -70,9 +72,10 @@ def _expansions(env, grammar, goal_cat, sem_raw, sem):
 
 
 def _expansion_pivots(search, goal, goal_cat, sem_raw, sem, pos):
-    for (rule, head, sisters), mother, daughters in _expansions(
+    for (rule, head, sisters, _), mother, daughters in _expansions(
             search.env, search.g, goal_cat, sem_raw, sem):
-        search.note("hc_complete(NonSK) rule", rule.id, "for goal", goal)
+        if search.tracing:
+            search.note("hc_complete(NonSK) rule", rule.id, "for goal", goal)
         solved = search.daughters(daughters, [head, *sisters], pos,
                                   [None] * len(daughters))
         while (found := (yield solved)) is not DONE:
@@ -133,5 +136,5 @@ def nonsk_expansions(grammar: Grammar, goal: Value):
     if sem is ABSENT or is_sk(sem, grammar):
         raise GenerationError("goal has kernel-only semantics")
     return [(rule, [env.canonical(d) for d in daughters])
-            for (rule, _, _), _, daughters in _expansions(
+            for (rule, *_), _, daughters in _expansions(
                 env, grammar, goal_cat, get(goal, ("sem",)), sem)]

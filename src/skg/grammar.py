@@ -195,11 +195,11 @@ def unary_cycles(rules) -> list:
 def plan_table(rules, link, corner) -> dict:
     """Per goal category, the plans of the rules whose mother it links to.
 
-    A plan is ``(rule, corner index, sister indices)``; each category's
-    plans keep the order of ``rules``.
+    A plan is ``(rule, corner index, sister indices, corner category)``; each
+    category's plans keep the order of ``rules``.
     """
-    plans = [(r, corner(r), [i for i in range(len(r.daughters)) if i != corner(r)])
-             for r in rules]
+    plans = [(r, corner(r), [i for i in range(len(r.daughters)) if i != corner(r)],
+              r.daughter_cat(corner(r))) for r in rules]
     return {goal: [p for p in plans if (goal, p[0].mother_cat) in link]
             for goal in sorted({goal for goal, _ in link})}
 
@@ -211,10 +211,12 @@ def completion_rows(plans, link) -> dict:
     categories are the same, then the goal's plans whose corner daughter
     has the pivot's category, in grammar order.  Every rule and lexical
     ``cat`` is an atom, so what a row leaves out could only fail to unify
-    (the pre-unification filter of Kiefer et al. 1999, by category).
+    (the pre-unification filter of Kiefer et al. 1999, by category).  The
+    baseline's rows hold every plan for every pivot, keeping classical SHDG's
+    cost: there the filter saves a clash's work but not its steps.
     """
     return {(g, p): [LOCAL] * (g == p)
-            + [plan for plan in plans[g] if plan[0].daughter_cat(plan[1]) == p]
+            + [plan for plan in plans[g] if plan[3] == p]
             for g, p in sorted(link)}
 
 

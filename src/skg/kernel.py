@@ -42,9 +42,11 @@ def nonsk_sites(value: Value, grammar: Grammar):
 
 def _top_sites(sem: Value, grammar: Grammar) -> list:
     """The ``(path, at)`` pairs of ``sem``'s own record."""
-    if type(sem) is not Avm:
-        return []
-    return [(path, get(sem, path)) for path in grammar.nonsk_paths]
+    sites = []
+    if type(sem) is Avm:
+        for path in grammar.nonsk_paths:
+            sites.append((path, get(sem, path)))
+    return sites
 
 
 def nonsk_weight(sem: Value, grammar: Grammar) -> int:

@@ -259,11 +259,10 @@ class Search:
         self.exhausted = False  # set by run when the step budget ran out
 
     def note(self, *parts):
-        """Add a trace line; values are rendered only when tracing is on."""
-        if self.tracing:
-            self.log.append(" ".join(
-                p if isinstance(p, str)
-                else render(self.env.canonical(p)) for p in parts))
+        """Add a trace line; each call site tests ``tracing`` first."""
+        self.log.append(" ".join(
+            p if isinstance(p, str)
+            else render(self.env.canonical(p)) for p in parts))
 
     def run(self, goal: Value, pos=None):
         """The solutions of ``goal``, until the search or its budget ends."""
@@ -288,25 +287,42 @@ class Search:
         """
         env = self.env
         # a pivot is a lexical entry or a rule mother, so its cat is an atom
-        pivot_cat = env.walk(env.walk(pivot).get("cat")).name
+        record = env.walk(pivot)
+        pivot_cat = env.walk(record.get("cat")).name
         for plan in self.rows.get((goal_cat, pivot_cat), ()):
+            if (goal_cat if plan is LOCAL else plan[3]) != pivot_cat:
+                # a clash, only in the baseline's unsplit rows: unify fails at cat
+                # in three steps (the plan's, then the records', then the cats'), if
+                # neither record has a rest and b, whose features _merge_records
+                # walks, lists cat first; then it is charged them, untried
+                a, b = (record, env.walk(goal)) if plan is LOCAL \
+                    else (plan[0].daughters[plan[1]], record)
+                if a.rest is None and b.rest is None and b.pairs[0][0] == "cat":
+                    env.tick()
+                    env.tick()
+                    env.tick()
+                    continue
             env.tick()
             mark = env.mark()
             if plan is LOCAL:
                 merged = env.unify(pivot, goal)
                 if merged is not None:
-                    self.note("local-success at", goal)
+                    if self.tracing:
+                        self.note("local-success at", goal)
                     yield deriv, end, merged
                 env.undo(mark)
                 continue
-            rule, corner, sisters = plan
+            rule, corner, sisters, _ = plan
             # copy the rest only once the corner takes the pivot (Tomabechi 1991)
             fresh = {}
             if env.unify(env.instantiate(rule.daughters[corner], fresh),
                          pivot) is not None:
-                self.note("hc_complete rule", rule.id, "over pivot", pivot)
+                if self.tracing:
+                    self.note("hc_complete rule", rule.id, "over pivot", pivot)
                 mother = env.instantiate(rule.mother, fresh)
-                copies = {i: env.instantiate(rule.daughters[i], fresh) for i in sisters}
+                copies = {}
+                for i in sisters:
+                    copies[i] = env.instantiate(rule.daughters[i], fresh)
                 children = [None] * len(rule.daughters)
                 children[corner] = deriv
                 rest = self.daughters(copies, sisters, end, children)
@@ -359,7 +375,7 @@ class Search:
         answers = self.table.get(key)
         if answers is PLAIN:
             return self.solve(goal, pos)
-        if answers is not None:
+        if answers is not None and self.tracing:
             self.note("table", goal)
         return self._replay(key, goal, answers)
 
@@ -372,10 +388,10 @@ class Search:
             sub = self.solve(env.resolve(goal), key[1])
             while (found := (yield sub)) is not DONE:
                 groups.setdefault((found[1], env.canonical(found[2])), []).append(found[0])
-            answers = self.table[key] = [
-                (derivs[0] if len(derivs) == 1 else Packed(tuple(derivs)), end,
-                 None if answer == key[0] else answer)
-                for (end, answer), derivs in groups.items()]
+            answers = self.table[key] = []
+            for (end, answer), derivs in groups.items():
+                answers.append((derivs[0] if len(derivs) == 1 else Packed(tuple(derivs)),
+                                end, None if answer == key[0] else answer))
         for deriv, end, answer in answers:
             mark = env.mark()
             merged = goal if answer is None else env.unify(env.instantiate(answer), goal)
@@ -395,7 +411,8 @@ class Search:
             mark = env.mark()
             pivot = attach(entry)
             if pivot is not None:
-                self.note("lex", entry.surface, "for goal", goal)
+                if self.tracing:
+                    self.note("lex", entry.surface, "for goal", goal)
                 yield pivot, Leaf(entry), end
             env.undo(mark)
 
@@ -472,10 +489,13 @@ def _unpacked(deriv: Node, heads: dict, memo: dict):
 def _combined(node: Node, daughters: list, head: int):
     """The pairs of ``node`` from its daughters' pairs, the head daughter's
     varying slowest, then the others' from left to right."""
-    order = [head, *(i for i in range(len(daughters)) if i != head)]
+    order = [head, *range(head), *range(head + 1, len(daughters))]
     chosen = [None] * len(daughters)
-    for picks in product(*(daughters[i] for i in order)):
+    for picks in product(*map(daughters.__getitem__, order)):
         for i, pick in zip(order, picks):
             chosen[i] = pick
-        yield (tuple(t for tokens, _ in chosen for t in tokens),
-               Node(node.rule_id, tuple(d for _, d in chosen)))
+        tokens, children = [], []
+        for pick_tokens, deriv in chosen:
+            tokens.extend(pick_tokens)
+            children.append(deriv)
+        yield tuple(tokens), Node(node.rule_id, tuple(children))
